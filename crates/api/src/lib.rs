@@ -61,7 +61,6 @@ pub mod lifecycle;
 pub mod mem;
 pub mod model;
 pub mod stats;
-#[cfg(feature = "durable")]
 pub mod wal;
 
 pub use lifecycle::{LifecycleError, TmLifecycle};

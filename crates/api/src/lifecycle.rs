@@ -1,5 +1,5 @@
 //! Backend lifecycle: construction, reconfiguration, clock access,
-//! quiescence — and (with the `durable` feature) WAL attachment.
+//! quiescence, and WAL attachment.
 //!
 //! [`TmLifecycle`] is the abstraction every layer above the backends
 //! programs against. It started life as `ShardBackend`, a crate-local
@@ -74,27 +74,23 @@ pub trait TmLifecycle: TmHandle + Sized {
     /// Run `critical` inside this instance's quiesce fence: no
     /// transaction is active while it runs, and every prior commit is
     /// fully published. This is the checkpoint boundary the durable
-    /// layer snapshots under — but it is useful (and available)
-    /// independent of the `durable` feature.
+    /// layer snapshots under.
     fn quiesce<R>(&self, critical: impl FnOnce() -> R) -> R;
 
     /// Attach a write-ahead-log sink: from now on every committed
     /// update transaction publishes its write set to `sink` before
     /// releasing its commit locks. Replaces any previous sink.
-    #[cfg(feature = "durable")]
     fn attach_wal(&self, sink: &std::sync::Arc<dyn crate::wal::WalSink>);
 
     /// Detach the WAL sink; subsequent commits stop publishing.
     /// In-flight commits may still publish once — the sink must stay
     /// valid until all workers are quiesced (it is an `Arc`, so it
     /// does).
-    #[cfg(feature = "durable")]
     fn detach_wal(&self);
 
     /// The current durability epoch. Bumped inside every quiesce fence
     /// that renumbers commit timestamps (reconfigure, clock roll-over),
     /// so that `(epoch, commit_ts)` is unique and per-key timestamps
     /// are monotone within an epoch.
-    #[cfg(feature = "durable")]
     fn wal_epoch(&self) -> u64;
 }

@@ -100,11 +100,13 @@ impl BasicStats {
 /// backend at all.
 #[derive(Debug, Default)]
 pub struct FaultStats {
-    /// Transient store errors absorbed by the sink's bounded retry loop
-    /// (each retried append attempt counts once).
+    /// Transient store errors retried in place under the bounded retry
+    /// policy (each retried batch-append or checkpoint attempt counts
+    /// once).
     pub wal_retries: AtomicU64,
-    /// Publish failures that exhausted retry or were not retryable
-    /// (torn/permanent) — each one degrades a shard.
+    /// Terminal WAL failures (torn/permanent append, failed fsync) —
+    /// each one degrades a shard. A batch that runs out of transient
+    /// retries fails without counting here: its shard stays Healthy.
     pub wal_faults: AtomicU64,
     /// Write attempts rejected with a typed error because the target
     /// shard was Degraded or Quarantined.

@@ -1,4 +1,4 @@
-//! The write-ahead-log sink contract (feature `durable`).
+//! The write-ahead-log sink contract.
 //!
 //! A backend with an attached [`WalSink`] calls [`WalSink::publish`]
 //! once per committed **update** transaction, from inside the commit

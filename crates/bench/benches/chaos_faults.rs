@@ -12,10 +12,6 @@
 //! not in the perf job's wired list). A verification failure — an
 //! acked commit lost, an unexpected replay — still panics the bench:
 //! counters from a broken run must not land in the artifacts.
-//!
-//! Gated behind the `durable` feature (`cargo bench -p stm-bench
-//! --features durable --bench chaos_faults`) so the default bench
-//! build is untouched.
 
 use std::time::Instant;
 use stm_bench::perf_emitter;

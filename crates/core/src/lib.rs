@@ -61,7 +61,6 @@ pub mod stm;
 pub mod trace;
 pub mod tvar;
 pub mod tx;
-#[cfg(feature = "durable")]
 pub mod wal;
 pub mod writelog;
 

@@ -25,6 +25,18 @@
 //! `SeqCst`; these are per-*attempt* costs (two RMWs per transaction),
 //! not per-access, and are kept out of the hot read/write path.
 //!
+//! ## Fencers are serialized by their own mutex
+//!
+//! The Dekker argument above assumes one fencer owns `fence` from the
+//! store that raises it to the store that lowers it. The mutex that
+//! anchors the condvars cannot provide that: the drain wait
+//! (`drained.wait_for`) releases it, so a second fencer could take it,
+//! queue behind the first, and — once the first lowered the flag on
+//! exit — run its critical section with `fence == false` while
+//! transactions enter freely. `fencers` is therefore a separate mutex
+//! held across the whole of [`Quiesce::fence`]; the condvar mutex keeps
+//! only its wake-up role. Enterers never touch `fencers`.
+//!
 //! ## Layout
 //!
 //! `active` is RMW-ed twice by every attempt from every thread — the
@@ -47,7 +59,9 @@ pub struct Quiesce {
     active: CacheAligned<AtomicUsize>,
     /// Set while a fence is pending or running. Own line: read-mostly.
     fence: CacheAligned<AtomicBool>,
-    /// Serializes fencers and anchors the condvars.
+    /// Serializes fencers: held from raising `fence` to lowering it.
+    fencers: Mutex<()>,
+    /// Anchors the condvars (released while a fencer waits to drain).
     mutex: Mutex<()>,
     /// Signalled when `active` drains to zero (fencer waits here).
     drained: Condvar,
@@ -67,6 +81,7 @@ impl Quiesce {
         Quiesce {
             active: CacheAligned::new(AtomicUsize::new(0)),
             fence: CacheAligned::new(AtomicBool::new(false)),
+            fencers: Mutex::new(()),
             mutex: Mutex::new(()),
             drained: Condvar::new(),
             lifted: Condvar::new(),
@@ -142,9 +157,10 @@ impl Quiesce {
     /// the STM run loop always exits before triggering roll-over or
     /// reconfiguration.
     pub fn fence<R>(&self, critical: impl FnOnce() -> R) -> R {
+        // Held until the flag is lowered: the drain wait below releases
+        // `mutex`, so it cannot serialize fencers (module docs).
+        let _turn = self.fencers.lock();
         let mut guard = self.mutex.lock();
-        // Another fencer may have just finished; we simply take our turn
-        // (the mutex serializes fencers).
         // Site Q1: the fencer's half of the Dekker pattern — the flag
         // store and the drain poll must both be SeqCst (module docs).
         self.fence.store(true, Ordering::SeqCst);
@@ -303,15 +319,22 @@ mod tests {
         let q = Arc::new(Quiesce::new());
         let stop = Arc::new(AtomicBool::new(false));
         let fences_run = Arc::new(AtomicU64::new(0));
+        // Transactions whose `enter()` has returned. Not `q.active()`:
+        // that also counts an enterer that saw the fence and is backing
+        // out — harmless, and visible inside the critical section.
+        let running = Arc::new(AtomicUsize::new(0));
 
         let workers: Vec<_> = (0..4)
             .map(|_| {
                 let q = Arc::clone(&q);
                 let stop = Arc::clone(&stop);
+                let running = Arc::clone(&running);
                 thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         q.enter();
+                        running.fetch_add(1, Ordering::SeqCst);
                         std::hint::spin_loop();
+                        running.fetch_sub(1, Ordering::SeqCst);
                         q.exit();
                     }
                 })
@@ -320,10 +343,15 @@ mod tests {
 
         let q_f = Arc::clone(&q);
         let fences = Arc::clone(&fences_run);
+        let running_f = Arc::clone(&running);
         let fencer = thread::spawn(move || {
             for _ in 0..50 {
                 q_f.fence(|| {
-                    assert_eq!(q_f.active(), 0, "fence observed active transactions");
+                    assert_eq!(
+                        running_f.load(Ordering::SeqCst),
+                        0,
+                        "fence observed running transactions"
+                    );
                     fences.fetch_add(1, Ordering::Relaxed);
                 });
                 thread::yield_now();
@@ -336,6 +364,89 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(fences_run.load(Ordering::Relaxed), 50);
+    }
+
+    /// Regression (ROADMAP item 0): two fencers queued behind one held
+    /// transaction. The drain wait releases the condvar mutex, so
+    /// without the `fencers` mutex the second fencer ran its critical
+    /// section after the first lowered the flag — with transactions
+    /// entering freely. Each round fails with high probability on that
+    /// code, so 25 rounds make a pass there effectively impossible.
+    #[test]
+    fn queued_fencers_never_run_unfenced_or_overlap() {
+        const ROUNDS: usize = 25;
+        const CRITICAL: Duration = Duration::from_millis(20);
+        for round in 0..ROUNDS {
+            let q = Arc::new(Quiesce::new());
+            // Set only after `enter()` returned, cleared before `exit()`.
+            let running = Arc::new(AtomicUsize::new(0));
+            let in_critical = Arc::new(AtomicUsize::new(0));
+            let unfenced = Arc::new(AtomicU64::new(0));
+            let overlaps = Arc::new(AtomicU64::new(0));
+            let stop = Arc::new(AtomicBool::new(false));
+
+            q.enter(); // the held transaction both fencers queue behind
+            let fencers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (q, running, in_critical) = (
+                        Arc::clone(&q),
+                        Arc::clone(&running),
+                        Arc::clone(&in_critical),
+                    );
+                    let (unfenced, overlaps) = (Arc::clone(&unfenced), Arc::clone(&overlaps));
+                    thread::spawn(move || {
+                        q.fence(|| {
+                            if in_critical.fetch_add(1, Ordering::SeqCst) != 0 {
+                                overlaps.fetch_add(1, Ordering::SeqCst);
+                            }
+                            let start = Instant::now();
+                            while start.elapsed() < CRITICAL {
+                                if running.load(Ordering::SeqCst) != 0 {
+                                    unfenced.fetch_add(1, Ordering::SeqCst);
+                                }
+                                std::hint::spin_loop();
+                            }
+                            in_critical.fetch_sub(1, Ordering::SeqCst);
+                        })
+                    })
+                })
+                .collect();
+            while !q.fenced() {
+                thread::yield_now();
+            }
+            thread::sleep(Duration::from_millis(5)); // let both fencers queue
+            let enterer = {
+                let (q, running, stop) = (Arc::clone(&q), Arc::clone(&running), Arc::clone(&stop));
+                thread::spawn(move || {
+                    while !stop.load(Ordering::SeqCst) {
+                        q.enter();
+                        running.fetch_add(1, Ordering::SeqCst);
+                        for _ in 0..64 {
+                            std::hint::spin_loop();
+                        }
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        q.exit();
+                        thread::sleep(Duration::from_micros(50));
+                    }
+                })
+            };
+            q.exit(); // release the held transaction: the fencers drain
+            for f in fencers {
+                f.join().unwrap();
+            }
+            stop.store(true, Ordering::SeqCst);
+            enterer.join().unwrap();
+            assert_eq!(
+                unfenced.load(Ordering::SeqCst),
+                0,
+                "round {round}: a critical section ran while a transaction was running"
+            );
+            assert_eq!(
+                overlaps.load(Ordering::SeqCst),
+                0,
+                "round {round}: two fence critical sections overlapped"
+            );
+        }
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub(crate) struct ThreadState {
     #[cfg(feature = "record")]
     trace: UnsafeCell<crate::trace::TraceLocal>,
     /// Cached WAL sink — owning thread only.
-    #[cfg(feature = "durable")]
     wal: UnsafeCell<crate::wal::WalLocal>,
 }
 
@@ -76,7 +75,6 @@ impl ThreadState {
             commits_since_reclaim: AtomicU64::new(0),
             #[cfg(feature = "record")]
             trace: UnsafeCell::new(crate::trace::TraceLocal::new()),
-            #[cfg(feature = "durable")]
             wal: UnsafeCell::new(crate::wal::WalLocal::new()),
         }
     }
@@ -102,7 +100,6 @@ pub(crate) struct StmInner {
     #[cfg(feature = "record")]
     pub(crate) trace: crate::trace::TraceControl,
     /// Attached WAL sink + durability epoch, if any.
-    #[cfg(feature = "durable")]
     pub(crate) wal: crate::wal::WalControl,
     /// Active protocol mutation (checker self-tests only).
     #[cfg(feature = "fault-inject")]
@@ -201,7 +198,6 @@ impl Stm {
                 telemetry: stm_telemetry::TxMetrics::new(),
                 #[cfg(feature = "record")]
                 trace: crate::trace::TraceControl::new(),
-                #[cfg(feature = "durable")]
                 wal: crate::wal::WalControl::new(),
                 #[cfg(feature = "fault-inject")]
                 fault: crate::fault::FaultSwitch::default(),
@@ -334,9 +330,8 @@ impl Stm {
                     })
                 };
             }
-            // The WAL sink the commit publishes through (durable only).
+            // The WAL sink the commit publishes through, if attached.
             // SAFETY: the wal local belongs to this thread.
-            #[cfg(feature = "durable")]
             let wal = unsafe { &mut *ts.wal.get() }.sink(&inner.wal);
             let outcome: Result<R, AbortReason> = {
                 let mut tx = Tx {
@@ -350,7 +345,6 @@ impl Stm {
                     me: Arc::as_ptr(&ts) as usize,
                     #[cfg(feature = "record")]
                     trace,
-                    #[cfg(feature = "durable")]
                     wal: wal.map(|s| &**s),
                 };
                 match body(&mut tx) {
@@ -453,7 +447,6 @@ impl Stm {
             // epoch bump is all the log format needs to stay sound
             // (per-key monotonicity is scoped to an epoch), so
             // durability survives roll-over where recording cannot.
-            #[cfg(feature = "durable")]
             inner.wal.advance_epoch();
             // Site S3: diagnostic counter.
             inner.rollovers.fetch_add(1, Ordering::Relaxed);
@@ -489,7 +482,6 @@ impl Stm {
             #[cfg(feature = "record")]
             inner.trace.advance_epoch();
             // The durability epoch segments the WAL the same way.
-            #[cfg(feature = "durable")]
             inner.wal.advance_epoch();
             // Site S3: diagnostic counter.
             inner.reconfigurations.fetch_add(1, Ordering::Relaxed);
@@ -621,7 +613,6 @@ impl Stm {
     /// deduplicated `(addr, value)` pairs) through the sink *before*
     /// releasing its stripe locks, so conflicting commits appear in the
     /// log in commit order. Replaces any previous sink.
-    #[cfg(feature = "durable")]
     pub fn attach_wal(&self, sink: &std::sync::Arc<dyn stm_api::wal::WalSink>) {
         self.inner.wal.attach(sink);
     }
@@ -629,14 +620,12 @@ impl Stm {
     /// Stop publishing to the WAL sink; threads notice at their next
     /// attempt (an in-flight commit may publish once more — the sink's
     /// `Arc` keeps it valid).
-    #[cfg(feature = "durable")]
     pub fn detach_wal(&self) {
         self.inner.wal.detach();
     }
 
     /// Current durability epoch (advances on reconfigure *and* clock
     /// roll-over — every fence that renumbers commit timestamps).
-    #[cfg(feature = "durable")]
     pub fn wal_epoch(&self) -> u64 {
         self.inner.wal.epoch()
     }
@@ -667,17 +656,14 @@ impl stm_api::TmLifecycle for Stm {
         Stm::quiesce(self, critical)
     }
 
-    #[cfg(feature = "durable")]
     fn attach_wal(&self, sink: &std::sync::Arc<dyn stm_api::wal::WalSink>) {
         Stm::attach_wal(self, sink)
     }
 
-    #[cfg(feature = "durable")]
     fn detach_wal(&self) {
         Stm::detach_wal(self)
     }
 
-    #[cfg(feature = "durable")]
     fn wal_epoch(&self) -> u64 {
         Stm::wal_epoch(self)
     }

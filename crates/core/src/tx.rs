@@ -101,7 +101,6 @@ pub(crate) struct TxCtx {
     /// Scratch buffer for the commit-path WAL publish: the attempt's
     /// `(addr, value)` write set, deduplicated and address-sorted.
     /// Recycled across attempts like the read set and write log.
-    #[cfg(feature = "durable")]
     pub wal_scratch: Vec<(usize, usize)>,
 }
 
@@ -121,7 +120,6 @@ impl TxCtx {
             last_contended: None,
             consecutive_aborts: 0,
             rng: seed | 1,
-            #[cfg(feature = "durable")]
             wal_scratch: Vec::new(),
         }
     }
@@ -177,7 +175,6 @@ pub struct Tx<'a> {
     #[cfg(feature = "record")]
     pub(crate) trace: Option<&'a stm_check::SessionLog>,
     /// The attached WAL sink, if durability is on for this attempt.
-    #[cfg(feature = "durable")]
     pub(crate) wal: Option<&'a dyn stm_api::wal::WalSink>,
 }
 
@@ -573,7 +570,6 @@ impl<'a> Tx<'a> {
         // write-back the buffered values are available without touching
         // memory. Write-through already stored in place at encounter
         // time; its failure path restores through the undo log.
-        #[cfg(feature = "durable")]
         if let Some(wal) = self.wal {
             let TxCtx {
                 wlog, wal_scratch, ..

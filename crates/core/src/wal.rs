@@ -1,4 +1,4 @@
-//! WAL plumbing for the `durable` cargo feature (shared by the TinySTM
+//! WAL plumbing for the commit path (shared by the TinySTM
 //! core and the TL2 crate): an instance-level [`WalControl`] holding
 //! the attached [`stm_api::wal::WalSink`] and the instance's durability
 //! epoch, and a per-thread [`WalLocal`] caching the sink pointer.

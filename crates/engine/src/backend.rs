@@ -1,8 +1,8 @@
 //! The backend abstraction one shard instantiates.
 //!
 //! The lifecycle surface — construction from a config, dynamic
-//! reconfiguration, clock inspection, the quiesce fence, and (feature
-//! `durable`) WAL attachment — lives in [`stm_api::TmLifecycle`], where
+//! reconfiguration, clock inspection, the quiesce fence, and WAL
+//! attachment — lives in [`stm_api::TmLifecycle`], where
 //! any backend crate can implement it without depending on the engine.
 //! [`ShardBackend`] adds the one concern that *cannot* live there:
 //! trace attachment (feature `record`), whose sink type comes from

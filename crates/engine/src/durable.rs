@@ -1,6 +1,6 @@
-//! The durable layer (feature `durable`): a key/value facade over the
-//! sharded engine whose committed state survives crashes — and whose
-//! shards degrade, not the process, when their stores fail.
+//! The durable layer: a key/value facade over the sharded engine whose
+//! committed state survives crashes — and whose shards degrade, not the
+//! process, when their stores fail.
 //!
 //! ## Shape
 //!
@@ -9,23 +9,19 @@
 //! * a **table** — a [`WordBlock`] of `n_keys` words; key `k` lives at
 //!   word index `k` of the table of the shard `k` routes to (words for
 //!   keys routed elsewhere are simply never touched);
-//! * a **WAL sink** ([`ShardWalSink`]) attached to the shard's backend:
+//! * a **WAL sink** ([`GroupWalSink`]) attached to the shard's backend:
 //!   every committed update transaction publishes its `(addr, value)`
-//!   write set *inside* its commit critical section, the sink maps
-//!   addresses back to keys and appends one checksummed record to the
-//!   shard's [`WalStore`] through a [`LogWriter`], then syncs;
+//!   write set *inside* its commit critical section; the sink maps
+//!   addresses back to keys and *stages* one checksummed record into
+//!   the shard's [`GroupCommitter`] batch (the stage reserves the
+//!   record's sequence number and log position), then blocks for the
+//!   batch flush — one append + one sync acknowledges every staged
+//!   commit of the batch, so concurrent committers touching disjoint
+//!   stripes of one shard share a single fsync. There is no per-commit
+//!   mode: a batch of one is the uncontended case of the same path;
 //! * a **health slot** ([`HealthSlot`]) — Healthy shards publish;
 //!   Degraded/Quarantined shards reject writes with a typed error and
 //!   keep serving reads (see `crate::health`).
-//!
-//! In **group-commit mode** ([`DurableEngine::new_grouped`]) the sink
-//! is a [`GroupWalSink`] instead: it *stages* the record into the
-//! shard's [`GroupCommitter`] batch inside the critical section (the
-//! stage reserves the record's sequence number and log position, so
-//! the commit-order guarantees below are unchanged) and then blocks
-//! for an amortized batch flush — one append + one sync acknowledges
-//! every staged commit of the batch. Concurrent committers touching
-//! disjoint stripes of one shard thereby share a single fsync.
 //!
 //! Because the publish happens before the stripe locks are released,
 //! conflicting commits appear in the shard's log in commit-timestamp
@@ -39,15 +35,18 @@
 //!
 //! ## Fault handling
 //!
-//! The sink classifies [`StoreError`]s per the taxonomy's retry
-//! contract: *transient* errors (nothing persisted) are retried in
-//! place under the bounded [`RetryPolicy`]; *torn* and *permanent*
-//! errors — and exhausted retries, and failed fsyncs — degrade the
-//! shard and fail the commit. A sync failure after a successful append
-//! leaves an **in-doubt** record: present and decodable in the log but
-//! never acknowledged (the commit rolled back). The engine tracks these
-//! per shard ([`DurableEngine::in_doubt`]); the rejoin checkpoint
-//! clears them.
+//! Failures follow the [`StoreError`] taxonomy's retry contract, at
+//! batch granularity: *transient* append errors (nothing persisted) are
+//! retried in place by the committer under the bounded
+//! [`stm_wal::RetryPolicy`]. If the retries run out, the batch fails and
+//! its commits roll back (typed [`WriteError::Wal`], resubmittable), but
+//! the shard stays Healthy — nothing reached the log. *Torn* and
+//! *permanent* append errors and failed fsyncs degrade the shard and
+//! fail the batch. A sync failure after a successful append leaves
+//! **in-doubt** records: present and decodable in the log but never
+//! acknowledged (the commits rolled back). The engine tracks these per
+//! shard ([`DurableEngine::in_doubt`]); the rejoin checkpoint clears
+//! them.
 //!
 //! ## Rejoin: memory is the source of truth
 //!
@@ -71,10 +70,10 @@
 //!
 //! ## Recovery
 //!
-//! [`DurableEngine::recover`] replays each shard's store from empty
-//! state (`stm_wal::recover_store`: snapshot, then intact log records,
-//! with torn/corrupt tails reported and interior damage rejected
-//! loudly), seeds fresh tables with the recovered state, and
+//! [`DurableEngine::recover_grouped`] replays each shard's store from
+//! empty state (`stm_wal::recover_store`: snapshot, then intact log
+//! records, with torn/corrupt tails reported and interior damage
+//! rejected loudly), seeds fresh tables with the recovered state, and
 //! immediately re-checkpoints so the new incarnation's log starts
 //! clean. Epochs are made monotonic across incarnations by an
 //! **epoch base** in the sink: the effective epoch of a published
@@ -83,7 +82,7 @@
 
 use crate::backend::ShardBackend;
 use crate::engine::ShardedEngine;
-use crate::health::{HealthSlot, RetryPolicy, ShardHealth};
+use crate::health::{HealthSlot, ShardHealth};
 use core::sync::atomic::Ordering;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -94,7 +93,7 @@ use stm_api::wal::{PublishError, WalSink};
 use stm_api::{LifecycleError, TmTx, TxKind};
 use stm_wal::{
     recover_store, snapshot_of, BatchError, GroupCommitConfig, GroupCommitter, LogWriter, Recovery,
-    StoreError, WalError, WalStore,
+    RetryPolicy, StoreError, WalError, WalStore,
 };
 
 /// Word size of the tables (the engine is 64-bit word based).
@@ -199,8 +198,10 @@ pub enum WriteError {
         /// Its health at rejection time.
         health: ShardHealth,
     },
-    /// The WAL publish inside the commit failed (the shard is now
-    /// Degraded); the transaction rolled back with no memory effect.
+    /// The WAL publish inside the commit failed; the transaction rolled
+    /// back with no memory effect. The shard is now Degraded, unless the
+    /// batch only ran out of transient retries (it stays Healthy and the
+    /// write may simply be resubmitted).
     Wal {
         /// The shard that degraded.
         shard: usize,
@@ -237,107 +238,19 @@ pub struct InDoubtCommit {
 }
 
 /// The per-shard WAL sink: maps the backend's `(addr, value)` write set
-/// back to keys and appends one record per commit, retrying transients
-/// and degrading the shard on anything worse.
-struct ShardWalSink {
-    /// Shard index (error messages, jitter salt).
-    shard: usize,
-    /// Base address of the shard's table.
-    base: usize,
-    /// Table length in words.
-    words: usize,
-    /// Added to the backend's durability epoch (monotonicity across
-    /// recover incarnations).
-    epoch_base: u64,
-    writer: Arc<LogWriter>,
-    /// The store, for the post-append sync.
-    store: Arc<dyn WalStore>,
-    health: Arc<HealthSlot>,
-    stats: Arc<FaultStats>,
-    retry: RetryPolicy,
-    in_doubt: Arc<Mutex<Vec<InDoubtCommit>>>,
-}
-
-impl WalSink for ShardWalSink {
-    fn publish(
-        &self,
-        epoch: u64,
-        commit_ts: u64,
-        writes: &[(usize, usize)],
-    ) -> Result<(), PublishError> {
-        // A commit racing the degradation of its shard: refuse before
-        // touching the store (counted as a rejection, not a new fault).
-        if !self.health.is_healthy() {
-            self.stats.degraded_rejects.fetch_add(1, Ordering::Relaxed);
-            return Err(PublishError::new(format!(
-                "shard {} is {}",
-                self.shard,
-                self.health.get()
-            )));
-        }
-        let keys = writes_to_keys(self.base, self.words, writes);
-        let epoch = self.epoch_base + epoch;
-        // Append, retrying transients in place (safe: nothing was
-        // persisted and the writer consumes the seq only on success).
-        // Torn and permanent errors are terminal — re-appending over a
-        // torn frame would turn a recoverable tail into interior
-        // corruption. The loop runs with the commit's stripe locks
-        // held; the policy's budget is µs-scale and hard-bounded.
-        let salt = commit_ts ^ (self.shard as u64).rotate_left(32);
-        let mut attempt = 0u32;
-        loop {
-            match self.writer.append_commit(epoch, commit_ts, &keys) {
-                Ok(()) => break,
-                Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
-                    self.stats.wal_retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(self.retry.backoff(attempt, salt));
-                    attempt += 1;
-                }
-                Err(e) => {
-                    self.stats.wal_faults.fetch_add(1, Ordering::Relaxed);
-                    self.health.set(ShardHealth::Degraded);
-                    return Err(PublishError::new(format!(
-                        "shard {} append: {e}",
-                        self.shard
-                    )));
-                }
-            }
-        }
-        // The record is in the log; confirm durability. A failed fsync
-        // is never retried — the kernel may have dropped the dirty
-        // pages, so a later "successful" fsync would prove nothing.
-        // The record becomes in-doubt and the shard degrades; the
-        // rejoin checkpoint rewrites the store from memory.
-        if let Err(e) = self.store.sync() {
-            self.in_doubt.lock().push(InDoubtCommit {
-                epoch,
-                commit_ts,
-                writes: keys,
-            });
-            self.stats.wal_faults.fetch_add(1, Ordering::Relaxed);
-            self.health.set(ShardHealth::Degraded);
-            return Err(PublishError::new(format!(
-                "shard {} fsync: {e}",
-                self.shard
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// The group-commit WAL sink: stages the record into the shard's
-/// [`GroupCommitter`] batch inside the commit critical section (fixing
-/// its log position while the stripe locks pin the commit order) and
-/// blocks until the batch is flushed and acknowledged.
+/// back to keys, stages the record into the shard's [`GroupCommitter`]
+/// batch inside the commit critical section (fixing its log position
+/// while the stripe locks pin the commit order), and blocks until the
+/// batch is flushed and acknowledged.
 ///
-/// Fault mapping follows "one transient fault degrades the *batch*,
-/// not the shard": the committer already retried transients in place,
-/// so a surfacing transient append failure fails this batch's commits
-/// (they roll back cleanly and can be resubmitted) while the shard
-/// stays Healthy. Terminal errors — torn appends, permanent store
-/// faults, failed fsyncs — degrade the shard exactly like the
-/// per-commit sink, with the batch's *primary* member doing the
-/// once-per-batch bookkeeping so counters count batches, not members.
+/// Fault mapping follows "one transient fault fails the *batch*, not
+/// the shard": the committer already retried transients in place, so a
+/// surfacing transient append failure fails this batch's commits (they
+/// roll back cleanly and can be resubmitted) while the shard stays
+/// Healthy. Terminal errors — torn appends, permanent store faults,
+/// failed fsyncs — degrade the shard, with the batch's *primary* member
+/// doing the once-per-batch bookkeeping so counters count batches, not
+/// members.
 struct GroupWalSink {
     /// Shard index (error messages).
     shard: usize,
@@ -385,29 +298,20 @@ impl WalSink for GroupWalSink {
                         writes: keys,
                     });
                 }
-                match &g.error {
-                    // This member was cancelled behind another batch's
-                    // failure: nothing of it reached the store and the
-                    // failing batch already did the health/counter
-                    // bookkeeping. Just roll the commit back.
-                    BatchError::Cancelled => {}
-                    // The committer exhausted its in-place retries on a
-                    // transient append: the batch fails (commits roll
-                    // back, resubmittable) but nothing was persisted
-                    // and the store may well serve the next batch —
-                    // degrade the batch, not the shard.
-                    BatchError::Append(e) if e.is_transient() => {
-                        if g.primary {
-                            self.stats.wal_retries.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    // Terminal: torn/permanent append or failed fsync.
-                    BatchError::Append(_) | BatchError::Sync(_) => {
-                        if g.primary {
-                            self.stats.wal_faults.fetch_add(1, Ordering::Relaxed);
-                            self.health.set(ShardHealth::Degraded);
-                        }
-                    }
+                let terminal = match &g.error {
+                    // Cancelled behind another batch's failure (which
+                    // did the bookkeeping), or transient retries ran
+                    // out: nothing of this batch reached the store and
+                    // the store may well serve the next one. Just roll
+                    // the commit back.
+                    BatchError::Cancelled => false,
+                    BatchError::Append(e) => !e.is_transient(),
+                    // The records are in the log, unconfirmed.
+                    BatchError::Sync(_) => true,
+                };
+                if terminal && g.primary {
+                    self.stats.wal_faults.fetch_add(1, Ordering::Relaxed);
+                    self.health.set(ShardHealth::Degraded);
                 }
                 Err(PublishError::new(format!(
                     "shard {} group: {g}",
@@ -418,8 +322,8 @@ impl WalSink for GroupWalSink {
     }
 }
 
-/// One shard's durable state (the sink shares the writer, health slot,
-/// and in-doubt list).
+/// One shard's durable state (the sink shares the committer, health
+/// slot, and in-doubt list).
 struct DurableShard {
     table: WordBlock,
     store: Arc<dyn WalStore>,
@@ -427,9 +331,7 @@ struct DurableShard {
     writer: Arc<LogWriter>,
     health: Arc<HealthSlot>,
     in_doubt: Arc<Mutex<Vec<InDoubtCommit>>>,
-    /// Present in group-commit mode: the shard's batching flush/ack
-    /// path (the sink stages through it instead of appending directly).
-    committer: Option<Arc<GroupCommitter>>,
+    committer: Arc<GroupCommitter>,
 }
 
 /// A crash-recoverable key/value engine over [`ShardedEngine`] with
@@ -442,30 +344,16 @@ pub struct DurableEngine<B: ShardBackend> {
     shards: Vec<DurableShard>,
     n_keys: usize,
     stats: Arc<FaultStats>,
-    retry: RetryPolicy,
-    /// Records-per-flush distribution across all shards' committers
-    /// (group-commit mode only; empty otherwise).
+    /// Records-per-flush distribution across all shards' committers.
     batch_hist: Arc<stm_telemetry::AtomicHist>,
 }
 
 impl<B: ShardBackend> DurableEngine<B> {
     /// Build a fresh engine: `shards` backend instances, one table and
-    /// one WAL writer per shard, sinks attached. `stores[i]` receives
-    /// shard `i`'s log; supply one store per shard.
-    pub fn new(
-        shards: usize,
-        n_keys: usize,
-        config: &B::Config,
-        stores: Vec<Arc<dyn WalStore>>,
-    ) -> Result<DurableEngine<B>, DurableError> {
-        Self::build(shards, n_keys, config, stores, None, None)
-    }
-
-    /// Build a fresh engine in **group-commit** mode: each shard's sink
-    /// stages records into a per-shard [`GroupCommitter`] batch and
-    /// blocks for the amortized flush/ack instead of appending and
-    /// syncing per commit. Concurrent committers on disjoint stripes of
-    /// one shard share a single append + sync.
+    /// one [`GroupCommitter`] per shard, sinks attached. `stores[i]`
+    /// receives shard `i`'s log; supply one store per shard. Concurrent
+    /// committers on disjoint stripes of one shard share a single
+    /// append + sync.
     pub fn new_grouped(
         shards: usize,
         n_keys: usize,
@@ -473,7 +361,7 @@ impl<B: ShardBackend> DurableEngine<B> {
         stores: Vec<Arc<dyn WalStore>>,
         group: GroupCommitConfig,
     ) -> Result<DurableEngine<B>, DurableError> {
-        Self::build(shards, n_keys, config, stores, None, Some(group))
+        Self::build(shards, n_keys, config, stores, None, group)
     }
 
     /// Recover an engine from the stores of a crashed (or cleanly
@@ -485,30 +373,6 @@ impl<B: ShardBackend> DurableEngine<B> {
     /// Fails loudly — never with a silently diverged state — if any
     /// shard's store has interior corruption, a damaged snapshot, or a
     /// replay-invariant violation.
-    pub fn recover(
-        shards: usize,
-        n_keys: usize,
-        config: &B::Config,
-        stores: Vec<Arc<dyn WalStore>>,
-    ) -> Result<(DurableEngine<B>, Vec<Recovery>), DurableError> {
-        let mut recoveries = Vec::with_capacity(shards);
-        for (i, store) in stores.iter().enumerate() {
-            let r = recover_store(store.as_ref())
-                .map_err(|error| DurableError::Wal { shard: i, error })?;
-            recoveries.push(r);
-        }
-        let engine = Self::build(shards, n_keys, config, stores, Some(&recoveries), None)?;
-        // Re-checkpoint immediately: the recovered state becomes the
-        // new snapshot and the (possibly torn-tailed) old log is
-        // truncated, so the fresh incarnation appends to a clean log.
-        engine.checkpoint()?;
-        Ok((engine, recoveries))
-    }
-
-    /// [`DurableEngine::recover`], but the new incarnation runs in
-    /// group-commit mode (see [`DurableEngine::new_grouped`]). Recovery
-    /// itself is mode-independent: a grouped incarnation's log is an
-    /// ordinary conflict-closed record stream.
     pub fn recover_grouped(
         shards: usize,
         n_keys: usize,
@@ -522,14 +386,10 @@ impl<B: ShardBackend> DurableEngine<B> {
                 .map_err(|error| DurableError::Wal { shard: i, error })?;
             recoveries.push(r);
         }
-        let engine = Self::build(
-            shards,
-            n_keys,
-            config,
-            stores,
-            Some(&recoveries),
-            Some(group),
-        )?;
+        let engine = Self::build(shards, n_keys, config, stores, Some(&recoveries), group)?;
+        // Re-checkpoint immediately: the recovered state becomes the
+        // new snapshot and the (possibly torn-tailed) old log is
+        // truncated, so the fresh incarnation appends to a clean log.
         engine.checkpoint()?;
         Ok((engine, recoveries))
     }
@@ -540,7 +400,7 @@ impl<B: ShardBackend> DurableEngine<B> {
         config: &B::Config,
         stores: Vec<Arc<dyn WalStore>>,
         recovered: Option<&[Recovery]>,
-        group: Option<GroupCommitConfig>,
+        group: GroupCommitConfig,
     ) -> Result<DurableEngine<B>, DurableError> {
         if stores.len() != n_shards {
             return Err(DurableError::StoreCount {
@@ -550,7 +410,6 @@ impl<B: ShardBackend> DurableEngine<B> {
         }
         let engine: ShardedEngine<B> = ShardedEngine::new(n_shards, config)?;
         let stats = Arc::new(FaultStats::new());
-        let retry = RetryPolicy::default();
         let batch_hist = Arc::new(stm_telemetry::AtomicHist::new());
         let mut shards = Vec::with_capacity(n_shards);
         for (i, store) in stores.into_iter().enumerate() {
@@ -575,41 +434,20 @@ impl<B: ShardBackend> DurableEngine<B> {
             let writer = Arc::new(LogWriter::new(i as u32, Arc::clone(&store), first_seq));
             let health = Arc::new(HealthSlot::new());
             let in_doubt = Arc::new(Mutex::new(Vec::new()));
-            let committer = match &group {
-                Some(gc) => {
-                    let committer = GroupCommitter::new(Arc::clone(&writer), *gc);
-                    let hist = Arc::clone(&batch_hist);
-                    committer.set_observer(move |records, _bytes| hist.record(records as u64));
-                    let sink: Arc<dyn WalSink> = Arc::new(GroupWalSink {
-                        shard: i,
-                        base: table.as_ptr() as usize,
-                        words: table.words(),
-                        epoch_base,
-                        committer: Arc::clone(&committer),
-                        health: Arc::clone(&health),
-                        stats: Arc::clone(&stats),
-                        in_doubt: Arc::clone(&in_doubt),
-                    });
-                    engine.shard(i).attach_wal(&sink);
-                    Some(committer)
-                }
-                None => {
-                    let sink: Arc<dyn WalSink> = Arc::new(ShardWalSink {
-                        shard: i,
-                        base: table.as_ptr() as usize,
-                        words: table.words(),
-                        epoch_base,
-                        writer: Arc::clone(&writer),
-                        store: Arc::clone(&store),
-                        health: Arc::clone(&health),
-                        stats: Arc::clone(&stats),
-                        retry,
-                        in_doubt: Arc::clone(&in_doubt),
-                    });
-                    engine.shard(i).attach_wal(&sink);
-                    None
-                }
-            };
+            let committer = GroupCommitter::new(Arc::clone(&writer), group);
+            let hist = Arc::clone(&batch_hist);
+            committer.set_observer(move |records, _bytes| hist.record(records as u64));
+            let sink: Arc<dyn WalSink> = Arc::new(GroupWalSink {
+                shard: i,
+                base: table.as_ptr() as usize,
+                words: table.words(),
+                epoch_base,
+                committer: Arc::clone(&committer),
+                health: Arc::clone(&health),
+                stats: Arc::clone(&stats),
+                in_doubt: Arc::clone(&in_doubt),
+            });
+            engine.shard(i).attach_wal(&sink);
             shards.push(DurableShard {
                 table,
                 store,
@@ -625,7 +463,6 @@ impl<B: ShardBackend> DurableEngine<B> {
             shards,
             n_keys,
             stats,
-            retry,
             batch_hist,
         })
     }
@@ -662,9 +499,16 @@ impl<B: ShardBackend> DurableEngine<B> {
     }
 
     /// Fault counters (retries, faults, rejections, rejoins) summed
-    /// over all shards.
+    /// over all shards. `wal_retries` adds the committers' in-place
+    /// append retries to the checkpoint retries counted here.
     pub fn fault_stats(&self) -> FaultSnapshot {
-        self.stats.snapshot()
+        let mut f = self.stats.snapshot();
+        f.wal_retries += self
+            .shards
+            .iter()
+            .map(|s| s.committer.retries())
+            .sum::<u64>();
+        f
     }
 
     /// Shard `i`'s in-doubt commits: appended to the log but never
@@ -674,28 +518,21 @@ impl<B: ShardBackend> DurableEngine<B> {
         self.shards[i].in_doubt.lock().clone()
     }
 
-    /// Whether the engine was built in group-commit mode.
-    pub fn is_grouped(&self) -> bool {
-        self.shards.first().is_some_and(|s| s.committer.is_some())
-    }
-
     /// Batches flushed and records flushed, summed over every shard's
-    /// committer (group-commit mode; `(0, 0)` otherwise). The ratio is
-    /// the mean batch size — the amortization the mode exists for.
+    /// committer. The ratio is the mean batch size — the amortization
+    /// group commit exists for.
     pub fn group_flush_stats(&self) -> (u64, u64) {
         let mut flushes = 0;
         let mut records = 0;
         for shard in &self.shards {
-            if let Some(c) = &shard.committer {
-                flushes += c.flushes();
-                records += c.records_flushed();
-            }
+            flushes += shard.committer.flushes();
+            records += shard.committer.records_flushed();
         }
         (flushes, records)
     }
 
-    /// Mean records per flushed batch across all shards (group-commit
-    /// mode; `None` before the first flush or in per-commit mode).
+    /// Mean records per flushed batch across all shards (`None` before
+    /// the first flush).
     pub fn group_mean_batch(&self) -> Option<f64> {
         let (flushes, records) = self.group_flush_stats();
         (flushes > 0).then(|| records as f64 / flushes as f64)
@@ -846,7 +683,7 @@ impl<B: ShardBackend> DurableEngine<B> {
     }
 
     /// Snapshot shard `i` from memory inside its quiesce fence,
-    /// retrying transient store errors under the engine's policy.
+    /// retrying transient store errors under the committers' policy.
     /// `reset_seq` restarts the writer's record numbering for the fresh
     /// log (rejoin; safe inside the fence with publishes excluded).
     fn checkpoint_shard(&self, i: usize, reset_seq: bool) -> Result<(), StoreError> {
@@ -863,18 +700,12 @@ impl<B: ShardBackend> DurableEngine<B> {
             }
             let epoch = shard.epoch_base + backend.wal_epoch();
             let snap = snapshot_of(&state, epoch).encode();
-            let mut attempt = 0u32;
-            loop {
-                match shard.store.checkpoint(&snap) {
-                    Ok(()) => break,
-                    Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
-                        self.stats.wal_retries.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(self.retry.backoff(attempt, epoch ^ i as u64));
-                        attempt += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
+            let (written, retries) =
+                RetryPolicy::default().run(epoch ^ i as u64, || shard.store.checkpoint(&snap));
+            self.stats
+                .wal_retries
+                .fetch_add(u64::from(retries), Ordering::Relaxed);
+            written?;
             if reset_seq {
                 shard.writer.set_next_seq(0);
             }
@@ -897,7 +728,7 @@ impl<B: ShardBackend> DurableEngine<B> {
 impl<B: ShardBackend> stm_telemetry::MetricsSource for DurableEngine<B> {
     fn collect(&self, frame: &mut stm_telemetry::MetricsFrame) {
         stm_telemetry::MetricsSource::collect(&self.engine, frame);
-        let f = self.stats.snapshot();
+        let f = self.fault_stats();
         frame.counter(
             "stm_wal_retries_total",
             "Transient WAL store errors retried in place.",
@@ -922,14 +753,12 @@ impl<B: ShardBackend> stm_telemetry::MetricsSource for DurableEngine<B> {
             &[],
             f.rejoins,
         );
-        if self.is_grouped() {
-            frame.summary(
-                "stm_wal_batch_size",
-                "Records per flushed group-commit batch, all shards.",
-                &[],
-                self.batch_hist.snapshot(),
-            );
-        }
+        frame.summary(
+            "stm_wal_batch_size",
+            "Records per flushed group-commit batch, all shards.",
+            &[],
+            self.batch_hist.snapshot(),
+        );
         for (i, shard) in self.shards.iter().enumerate() {
             let label = i.to_string();
             let labels = [("shard", label.as_str())];

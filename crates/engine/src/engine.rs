@@ -191,8 +191,7 @@ impl<B: ShardBackend> ShardedEngine<B> {
     }
 
     /// [`ShardedEngine::run_on`] surfacing terminal failures (a WAL
-    /// publish error under the `durable` feature) as a typed error
-    /// instead of a panic. The failed attempt rolls back cleanly first.
+    /// publish error) as a typed error instead of a panic. The failed attempt rolls back cleanly first.
     #[inline]
     pub fn try_run_on<R, F>(&self, key: u64, kind: TxKind, body: F) -> Result<R, stm_api::RunError>
     where

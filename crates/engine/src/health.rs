@@ -1,10 +1,9 @@
-//! Per-shard health tracking and the WAL retry policy (feature
-//! `durable`).
+//! Per-shard health tracking.
 //!
 //! ## The state machine
 //!
 //! ```text
-//!            transient exhausted / torn / permanent / fsync failed
+//!            torn append / permanent append / fsync failed
 //!  Healthy ──────────────────────────────────────────────▶ Degraded
 //!     ▲                                                       │
 //!     │ rejoin: re-checkpoint from memory succeeded           │ rejoin
@@ -22,26 +21,18 @@
 //! * **Quarantined** — a rejoin attempt could not re-checkpoint the
 //!   store. Terminal for writes; reads still serve.
 //!
-//! Degradation happens *inside* the failed commit's critical section
+//! Transient append errors never reach this machine: the group
+//! committer retries them in place ([`stm_wal::RetryPolicy`]), and if
+//! the retries run out only that batch fails — nothing persisted, so
+//! the shard stays Healthy.
+//!
+//! Degradation happens *inside* the failed batch's critical sections
 //! (the sink refuses before anything else can append), so a degraded
-//! shard's log is exactly the acked prefix plus, at worst, one
-//! in-doubt record whose fsync failed (tracked by the engine and
-//! cleared by the rejoin checkpoint).
-//!
-//! ## The retry policy
-//!
-//! Transient store errors ([`stm_wal::StoreError::Transient`] — nothing
-//! persisted, retrying the same bytes is safe) are retried in place
-//! with bounded exponential backoff plus deterministic jitter. The
-//! retry loop runs **with the commit's stripe locks held**, so the
-//! budget is µs-scale and hard-bounded (worst case well under 2 ms):
-//! stalling conflicting writers briefly beats aborting an acked-path
-//! commit on a hiccup. Torn errors are *never* retried in place — the
-//! store already holds a damaged frame, and appending the same record
-//! again would turn a recoverable torn tail into interior corruption.
+//! shard's log is exactly the acked prefix plus, at worst, the
+//! in-doubt records of one batch whose fsync failed (tracked by the
+//! engine and cleared by the rejoin checkpoint).
 
 use core::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::time::Duration;
 
 /// Health of one durable shard (see the module docs for the machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,55 +121,6 @@ impl HealthSlot {
     }
 }
 
-/// Bounded exponential backoff with deterministic jitter for transient
-/// store errors.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Retries after the first failure (total attempts = retries + 1).
-    pub max_retries: u32,
-    /// Backoff before the first retry, microseconds.
-    pub base_us: u64,
-    /// Backoff cap per retry, microseconds.
-    pub max_us: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        // Worst case, ignoring jitter: 50 + 100 + 200 + 400 = 750 µs of
-        // sleeping across 4 retries; jitter adds at most 50% per step.
-        // Bounded well under 2 ms — tolerable with stripe locks held.
-        RetryPolicy {
-            max_retries: 4,
-            base_us: 50,
-            max_us: 400,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff duration before retry `attempt` (0-based), jittered
-    /// deterministically by `salt` (callers pass commit identity so
-    /// concurrent retries desynchronize without a global RNG).
-    pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
-        let exp = self
-            .base_us
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(self.max_us);
-        // Up to +50% deterministic jitter.
-        let jitter = splitmix64(salt ^ u64::from(attempt)) % (exp / 2 + 1);
-        Duration::from_micros(exp + jitter)
-    }
-}
-
-/// SplitMix64 finalizer — cheap deterministic jitter (no external RNG
-/// dependency; same construction as `stm_wal::fault`).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,27 +149,6 @@ mod tests {
         slot.set(ShardHealth::Degraded);
         slot.set(ShardHealth::Degraded); // racing double-degrade counts once
         assert_eq!(slot.transitions(), 1);
-    }
-
-    #[test]
-    fn backoff_is_bounded_and_monotonic_in_the_cap() {
-        let policy = RetryPolicy::default();
-        let mut total = Duration::ZERO;
-        for attempt in 0..policy.max_retries {
-            let d = policy.backoff(attempt, 0xDEAD_BEEF);
-            // exp ≤ max_us, jitter ≤ exp/2.
-            assert!(d <= Duration::from_micros(policy.max_us * 3 / 2));
-            total += d;
-        }
-        assert!(total < Duration::from_millis(2), "budget blown: {total:?}");
-    }
-
-    #[test]
-    fn backoff_jitter_is_deterministic() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.backoff(2, 77), policy.backoff(2, 77));
-        // Different salts usually differ (this pair does).
-        assert_ne!(policy.backoff(2, 77), policy.backoff(2, 78));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   multiply-shift);
 //! * [`stm_api::TmLifecycle`] (re-exported here) — the backend
 //!   lifecycle trait: construction, reconfigure, clock, quiesce fence,
-//!   and (feature `durable`) WAL attachment;
+//!   and WAL attachment;
 //! * [`ShardBackend`] — the engine's extension of `TmLifecycle` adding
 //!   trace attachment (feature `record`; its sink type lives in
 //!   `stm-check`, which depends on `stm-api`, so it cannot sit on the
@@ -24,10 +24,10 @@
 //! * [`ShardedEngine`] — the engine: [`ShardedEngine::run_on`] fast
 //!   path, [`ShardedEngine::run_cross`] under a [`CrossShardPolicy`],
 //!   per-shard reconfigure with epoch tracking;
-//! * [`DurableEngine`] (feature `durable`) — the crash-recoverable KV
-//!   facade: per-shard WAL sinks (per-commit or group-commit),
-//!   checkpoint inside the quiesce fence, replay-based recovery;
-//! * [`StmService`] (feature `durable`) — the multi-tenant service
+//! * [`DurableEngine`] — the crash-recoverable KV facade: per-shard
+//!   group-commit WAL sinks, checkpoint inside the quiesce fence,
+//!   replay-based recovery;
+//! * [`StmService`] — the multi-tenant service
 //!   layer: per-shard submission queues with bounded backpressure,
 //!   executor pools feeding the group-commit batches, checkpoints
 //!   scheduled under load.
@@ -52,23 +52,17 @@
 //! ```
 
 mod backend;
-#[cfg(feature = "durable")]
 mod durable;
 mod engine;
-#[cfg(feature = "durable")]
 mod health;
 mod router;
-#[cfg(feature = "durable")]
 mod service;
 
 pub use backend::ShardBackend;
-#[cfg(feature = "durable")]
 pub use durable::{DurableEngine, DurableError, InDoubtCommit, WriteError};
 pub use engine::{CrossCtx, CrossShardPolicy, EngineError, ShardedEngine};
-#[cfg(feature = "durable")]
-pub use health::{HealthSlot, RetryPolicy, ShardHealth};
+pub use health::{HealthSlot, ShardHealth};
 pub use router::Router;
-#[cfg(feature = "durable")]
 pub use service::{ServiceConfig, ServiceError, StmService};
 // Compat re-exports: the lifecycle trait moved to `stm-api` (PR 7);
 // dependents that imported it from here keep compiling.

@@ -1,4 +1,4 @@
-//! The multi-tenant service layer (feature `durable`): [`StmService`]
+//! The multi-tenant service layer: [`StmService`]
 //! lifts a [`DurableEngine`] from a library you call into a small
 //! service you *submit to* — per-shard submission queues with bounded
 //! backpressure, tenant key-namespacing, executor threads whose

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use stm_engine::{DurableEngine, DurableError, ShardBackend};
 use stm_tl2::{Tl2, Tl2Config};
-use stm_wal::{CrashSwitch, MemStore, TailStatus, WalError, WalStore};
+use stm_wal::{CrashSwitch, GroupCommitConfig, MemStore, Recovery, TailStatus, WalError, WalStore};
 use tinystm::{AccessStrategy, Stm, StmConfig};
 
 const SHARDS: usize = 2;
@@ -24,6 +24,32 @@ fn stores(switch: &Arc<CrashSwitch>) -> (Vec<Arc<MemStore>>, Vec<Arc<dyn WalStor
         .map(|m| Arc::clone(m) as Arc<dyn WalStore>)
         .collect();
     (mems, dyns)
+}
+
+/// A fresh engine over `dyns`.
+fn fresh<B: ShardBackend>(config: &B::Config, dyns: &[Arc<dyn WalStore>]) -> DurableEngine<B> {
+    DurableEngine::new_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns.to_vec(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap()
+}
+
+/// Recover an engine from `dyns`.
+fn recover<B: ShardBackend>(
+    config: &B::Config,
+    dyns: &[Arc<dyn WalStore>],
+) -> Result<(DurableEngine<B>, Vec<Recovery>), DurableError> {
+    DurableEngine::recover_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns.to_vec(),
+        GroupCommitConfig::default(),
+    )
 }
 
 /// The deterministic single-threaded workload: returns, per shard, the
@@ -44,12 +70,12 @@ fn drive<B: ShardBackend>(engine: &DurableEngine<B>) -> Vec<Vec<(u64, u64)>> {
 fn clean_shutdown_recovers_exactly<B: ShardBackend>(config: &B::Config) {
     let switch = CrashSwitch::unlimited();
     let (_mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new(SHARDS, KEYS, config, dyns.clone()).unwrap();
+    let engine: DurableEngine<B> = fresh(config, &dyns);
     drive(&engine);
     let expected = engine.read_all();
     drop(engine);
 
-    let (recovered, reports) = DurableEngine::<B>::recover(SHARDS, KEYS, config, dyns).unwrap();
+    let (recovered, reports) = recover::<B>(config, &dyns).unwrap();
     assert_eq!(recovered.read_all(), expected);
     for r in &reports {
         assert!(
@@ -66,7 +92,7 @@ fn clean_shutdown_recovers_exactly<B: ShardBackend>(config: &B::Config) {
 fn torn_tail_recovers_shard_prefixes<B: ShardBackend>(config: &B::Config, budget: u64) {
     let switch = CrashSwitch::after_bytes(budget);
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new(SHARDS, KEYS, config, dyns.clone()).unwrap();
+    let engine: DurableEngine<B> = fresh(config, &dyns);
     let issued = drive(&engine);
     drop(engine);
     assert!(
@@ -76,7 +102,7 @@ fn torn_tail_recovers_shard_prefixes<B: ShardBackend>(config: &B::Config, budget
     let torn_bytes: usize = mems.iter().map(|m| m.log_len()).sum();
     assert!(torn_bytes > 0, "the cut landed before any log bytes");
 
-    let (recovered, reports) = DurableEngine::<B>::recover(SHARDS, KEYS, config, dyns).unwrap();
+    let (recovered, reports) = recover::<B>(config, &dyns).unwrap();
     let mut expected = std::collections::BTreeMap::new();
     for k in 0..KEYS as u64 {
         expected.insert(k, 0u64);
@@ -106,7 +132,7 @@ fn torn_tail_recovers_shard_prefixes<B: ShardBackend>(config: &B::Config, budget
 fn checkpoint_then_recover<B: ShardBackend>(config: &B::Config) {
     let switch = CrashSwitch::unlimited();
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new(SHARDS, KEYS, config, dyns.clone()).unwrap();
+    let engine: DurableEngine<B> = fresh(config, &dyns);
     drive(&engine);
     engine.checkpoint().unwrap();
     assert!(
@@ -119,7 +145,7 @@ fn checkpoint_then_recover<B: ShardBackend>(config: &B::Config) {
     let expected = engine.read_all();
     drop(engine);
 
-    let (recovered, reports) = DurableEngine::<B>::recover(SHARDS, KEYS, config, dyns).unwrap();
+    let (recovered, reports) = recover::<B>(config, &dyns).unwrap();
     assert_eq!(recovered.read_all(), expected);
     let replayed: usize = reports.iter().map(|r| r.records.len()).sum();
     assert_eq!(replayed, 8, "log should hold only post-checkpoint commits");
@@ -131,7 +157,7 @@ fn checkpoint_then_recover<B: ShardBackend>(config: &B::Config) {
 fn interior_corruption_is_loud<B: ShardBackend>(config: &B::Config) {
     let switch = CrashSwitch::unlimited();
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new(SHARDS, KEYS, config, dyns.clone()).unwrap();
+    let engine: DurableEngine<B> = fresh(config, &dyns);
     drive(&engine);
     drop(engine);
 
@@ -139,7 +165,7 @@ fn interior_corruption_is_loud<B: ShardBackend>(config: &B::Config) {
     // header is 8 bytes; byte 12 sits in the sequence field).
     assert!(mems[0].log_len() > 120, "need several records to corrupt");
     mems[0].flip_log_bit(12, 3);
-    let err = match DurableEngine::<B>::recover(SHARDS, KEYS, config, dyns) {
+    let err = match recover::<B>(config, &dyns) {
         Err(e) => e,
         Ok(_) => panic!("interior corruption must fail recovery"),
     };
@@ -162,13 +188,13 @@ fn interior_corruption_is_loud<B: ShardBackend>(config: &B::Config) {
 fn chopped_tail_reports_and_recovers<B: ShardBackend>(config: &B::Config) {
     let switch = CrashSwitch::unlimited();
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new(SHARDS, KEYS, config, dyns.clone()).unwrap();
+    let engine: DurableEngine<B> = fresh(config, &dyns);
     drive(&engine);
     drop(engine);
 
     let full = mems[1].log_len();
     mems[1].truncate_log(full - 5); // mid-frame chop
-    let (_, reports) = DurableEngine::<B>::recover(SHARDS, KEYS, config, dyns).unwrap();
+    let (_, reports) = recover::<B>(config, &dyns).unwrap();
     assert!(
         matches!(reports[1].tail, TailStatus::Torn { dropped, .. } if dropped > 0),
         "chop must be reported: {:?}",
@@ -228,14 +254,12 @@ fn recovered_engine_keeps_working() {
     let config = wb();
     let switch = CrashSwitch::unlimited();
     let (_mems, dyns) = stores(&switch);
-    let engine: DurableEngine<Stm> =
-        DurableEngine::new(SHARDS, KEYS, &config, dyns.clone()).unwrap();
+    let engine: DurableEngine<Stm> = fresh(&config, &dyns);
     drive(&engine);
     drop(engine);
 
     // First recovery; keep writing through the recovered engine.
-    let (recovered, _) =
-        DurableEngine::<Stm>::recover(SHARDS, KEYS, &config, dyns.clone()).unwrap();
+    let (recovered, _) = recover::<Stm>(&config, &dyns).unwrap();
     for k in 0..KEYS as u64 {
         recovered.put(k, 70_000 + k).unwrap();
     }
@@ -243,7 +267,7 @@ fn recovered_engine_keeps_working() {
     drop(recovered);
 
     // Second recovery sees the post-recovery writes too.
-    let (again, _) = DurableEngine::<Stm>::recover(SHARDS, KEYS, &config, dyns).unwrap();
+    let (again, _) = recover::<Stm>(&config, &dyns).unwrap();
     assert_eq!(again.read_all(), expected);
 }
 
@@ -258,22 +282,19 @@ fn recovery_is_deterministic_across_backends() {
         let (_mems, dyns) = stores(&switch);
         match backend {
             0 => {
-                let e: DurableEngine<Stm> =
-                    DurableEngine::new(SHARDS, KEYS, &wb(), dyns.clone()).unwrap();
+                let e: DurableEngine<Stm> = fresh(&wb(), &dyns);
                 drive(&e);
             }
             1 => {
-                let e: DurableEngine<Stm> =
-                    DurableEngine::new(SHARDS, KEYS, &wt(), dyns.clone()).unwrap();
+                let e: DurableEngine<Stm> = fresh(&wt(), &dyns);
                 drive(&e);
             }
             _ => {
-                let e: DurableEngine<Tl2> =
-                    DurableEngine::new(SHARDS, KEYS, &Tl2Config::default(), dyns.clone()).unwrap();
+                let e: DurableEngine<Tl2> = fresh(&Tl2Config::default(), &dyns);
                 drive(&e);
             }
         }
-        let (r, _) = DurableEngine::<Stm>::recover(SHARDS, KEYS, &wb(), dyns).unwrap();
+        let (r, _) = recover::<Stm>(&wb(), &dyns).unwrap();
         states.push(r.read_all());
     }
     assert_eq!(states[0], states[1]);

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use stm_check::{check_history, check_wal_commits, CheckOpts, History, TraceSink, WalCommit};
 use stm_engine::{DurableEngine, ShardBackend};
-use stm_wal::{CrashSwitch, MemStore, Recovery, WalStore};
+use stm_wal::{CrashSwitch, GroupCommitConfig, MemStore, Recovery, WalStore};
 use tinystm::{Stm, StmConfig};
 
 const SHARDS: usize = 2;
@@ -80,16 +80,19 @@ fn wal_commits(report: &Recovery) -> Vec<WalCommit> {
 /// recovery reproduces the final state.
 #[test]
 fn clean_wal_equals_recorded_history() {
+    let group = GroupCommitConfig::default();
     let switch = CrashSwitch::unlimited();
     let dyns = stores(&switch);
     let engine: DurableEngine<Stm> =
-        DurableEngine::new(SHARDS, KEYS, &StmConfig::default(), dyns.clone()).unwrap();
+        DurableEngine::new_grouped(SHARDS, KEYS, &StmConfig::default(), dyns.clone(), group)
+            .unwrap();
     let histories = run_recorded(&engine);
     let expected = engine.read_all();
     drop(engine);
 
     let (recovered, reports) =
-        DurableEngine::<Stm>::recover(SHARDS, KEYS, &StmConfig::default(), dyns).unwrap();
+        DurableEngine::<Stm>::recover_grouped(SHARDS, KEYS, &StmConfig::default(), dyns, group)
+            .unwrap();
     assert_eq!(recovered.read_all(), expected);
     for (shard, (history, report)) in histories.iter().zip(&reports).enumerate() {
         let check = check_history(history, &CheckOpts::default());
@@ -108,16 +111,19 @@ fn clean_wal_equals_recorded_history() {
 /// lose commits, never invent them).
 #[test]
 fn crashed_wal_is_phantom_free() {
+    let group = GroupCommitConfig::default();
     let switch = CrashSwitch::after_bytes(9_000);
     let dyns = stores(&switch);
     let engine: DurableEngine<Stm> =
-        DurableEngine::new(SHARDS, KEYS, &StmConfig::default(), dyns.clone()).unwrap();
+        DurableEngine::new_grouped(SHARDS, KEYS, &StmConfig::default(), dyns.clone(), group)
+            .unwrap();
     let histories = run_recorded(&engine);
     drop(engine);
     assert!(switch.is_cut(), "budget was never exhausted — raise OPS");
 
     let (_, reports) =
-        DurableEngine::<Stm>::recover(SHARDS, KEYS, &StmConfig::default(), dyns).unwrap();
+        DurableEngine::<Stm>::recover_grouped(SHARDS, KEYS, &StmConfig::default(), dyns, group)
+            .unwrap();
     let mut survived = 0usize;
     for (shard, (history, report)) in histories.iter().zip(&reports).enumerate() {
         survived += report.records.len();

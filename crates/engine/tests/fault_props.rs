@@ -14,7 +14,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use stm_engine::{DurableEngine, ShardBackend, ShardHealth};
 use stm_tl2::{Tl2, Tl2Config};
-use stm_wal::{CrashSwitch, FaultEvent, FaultKind, FaultPlan, FaultStore, MemStore, WalStore};
+use stm_wal::{
+    CrashSwitch, FaultEvent, FaultKind, FaultPlan, FaultStore, GroupCommitConfig, MemStore,
+    WalStore,
+};
 use tinystm::{AccessStrategy, Stm, StmConfig};
 
 const KEYS: usize = 16;
@@ -48,15 +51,17 @@ fn schedule() -> impl Strategy<Value = Vec<FaultEvent>> {
 /// Drive a deterministic single-threaded workload over one faulty
 /// shard, rejoining on degradation, and assert the contract.
 fn check_no_acked_commit_lost<B: ShardBackend>(config: &B::Config, events: Vec<FaultEvent>) {
+    let group = GroupCommitConfig::default();
     let store = FaultStore::new(
         MemStore::new(CrashSwitch::unlimited()),
         FaultPlan { events },
     );
-    let engine: DurableEngine<B> = DurableEngine::new(
+    let engine: DurableEngine<B> = DurableEngine::new_grouped(
         1,
         KEYS,
         config,
         vec![Arc::clone(&store) as Arc<dyn WalStore>],
+        group,
     )
     .unwrap();
 
@@ -92,8 +97,8 @@ fn check_no_acked_commit_lost<B: ShardBackend>(config: &B::Config, events: Vec<F
 
     // Power-cycle onto a healthy store holding the surviving bytes.
     let boot = MemStore::rebooted(&*store) as Arc<dyn WalStore>;
-    let (recovered, _) =
-        DurableEngine::<B>::recover(1, KEYS, config, vec![boot]).unwrap_or_else(|e| {
+    let (recovered, _) = DurableEngine::<B>::recover_grouped(1, KEYS, config, vec![boot], group)
+        .unwrap_or_else(|e| {
             panic!("recovery failed under schedule [{plan}]: {e}");
         });
     assert_eq!(

@@ -1,27 +1,33 @@
 //! Fault-tolerance tests for the durable engine, on all three backends:
-//! transient store errors are absorbed by the sink's retry loop,
-//! permanent errors degrade the shard with a typed rejection (reads
-//! keep serving), fsync failures leave a tracked in-doubt record, and
-//! rejoin heals a Degraded shard from memory.
+//! transient store errors are absorbed by the group committer's retry
+//! loop (and, once it runs out, fail only their batch), permanent
+//! errors degrade the shard with a typed rejection (reads keep
+//! serving), fsync failures leave a tracked in-doubt record, and rejoin
+//! heals a Degraded shard from memory.
 
 use std::sync::Arc;
 use stm_engine::{DurableEngine, DurableError, ShardBackend, ShardHealth, WriteError};
 use stm_tl2::{Tl2, Tl2Config};
-use stm_wal::{CrashSwitch, FaultEvent, FaultKind, FaultPlan, FaultStore, MemStore, WalStore};
+use stm_wal::{
+    CrashSwitch, FaultEvent, FaultKind, FaultPlan, FaultStore, GroupCommitConfig, MemStore,
+    WalStore,
+};
 use tinystm::{AccessStrategy, Stm, StmConfig};
 
 const KEYS: usize = 8;
 
 /// One shard over a [`FaultStore`] scripted with `events`.
 fn faulty_engine<B: ShardBackend>(config: &B::Config, events: Vec<FaultEvent>) -> DurableEngine<B> {
+    let group = GroupCommitConfig::default();
     let mem = MemStore::new(CrashSwitch::unlimited());
     let store = FaultStore::new(mem, FaultPlan { events });
-    DurableEngine::new(1, KEYS, config, vec![store as Arc<dyn WalStore>]).unwrap()
+    DurableEngine::new_grouped(1, KEYS, config, vec![store as Arc<dyn WalStore>], group).unwrap()
 }
 
 /// A transient burst shorter than the retry budget: every put succeeds,
 /// the shard never leaves Healthy, and the retries are counted.
 fn transient_burst_is_absorbed<B: ShardBackend>(config: &B::Config) {
+    let group = GroupCommitConfig::default();
     let engine = faulty_engine::<B>(
         config,
         vec![FaultEvent {
@@ -41,7 +47,8 @@ fn transient_burst_is_absorbed<B: ShardBackend>(config: &B::Config) {
     let expected = engine.read_all();
     let store = Arc::clone(engine.store(0));
     drop(engine);
-    let (recovered, _) = DurableEngine::<B>::recover(1, KEYS, config, vec![store]).unwrap();
+    let (recovered, _) =
+        DurableEngine::<B>::recover_grouped(1, KEYS, config, vec![store], group).unwrap();
     assert_eq!(recovered.read_all(), expected);
 }
 
@@ -97,6 +104,7 @@ fn permanent_fault_degrades_typed<B: ShardBackend>(config: &B::Config) {
 /// cleared by a successful rejoin; recovery afterwards sees exactly the
 /// acked state.
 fn sync_failure_leaves_in_doubt_and_rejoin_heals<B: ShardBackend>(config: &B::Config) {
+    let group = GroupCommitConfig::default();
     let engine = faulty_engine::<B>(
         config,
         vec![FaultEvent {
@@ -124,36 +132,39 @@ fn sync_failure_leaves_in_doubt_and_rejoin_heals<B: ShardBackend>(config: &B::Co
     let expected = engine.read_all();
     let store = Arc::clone(engine.store(0));
     drop(engine);
-    let (recovered, _) = DurableEngine::<B>::recover(1, KEYS, config, vec![store]).unwrap();
+    let (recovered, _) =
+        DurableEngine::<B>::recover_grouped(1, KEYS, config, vec![store], group).unwrap();
     let state = recovered.read_all();
     assert_eq!(state, expected);
     assert_eq!(state[&1], 0, "in-doubt record must not resurface");
     assert_eq!(state[&2], 42);
 }
 
-/// A transient burst longer than the retry budget: the put fails typed,
-/// the shard degrades — and, the store being healthy again by rejoin
-/// time, rejoin restores Healthy and writes flow.
-fn exhausted_transients_degrade_then_rejoin<B: ShardBackend>(config: &B::Config) {
+/// A transient burst longer than the retry budget fails only its batch:
+/// the put fails typed and rolls back, the shard stays Healthy (nothing
+/// reached the log), and the next put succeeds without a rejoin.
+fn exhausted_transients_fail_the_batch<B: ShardBackend>(config: &B::Config) {
     let engine = faulty_engine::<B>(
         config,
         vec![FaultEvent {
             at_append: 1,
             // The failed put burns 5 attempts (1 + 4 retries); one
-            // burst slot is left over for the post-rejoin put, which
-            // absorbs it with a single retry.
+            // burst slot is left over for the next put, which absorbs
+            // it with a single retry.
             kind: FaultKind::TransientBurst { len: 6 },
         }],
     );
     engine.put(0, 7).unwrap();
     assert_eq!(engine.put(1, 8), Err(WriteError::Wal { shard: 0 }));
-    assert_eq!(engine.health(0), ShardHealth::Degraded);
-    // Bursts only poison *append* attempts; the rejoin checkpoint goes
-    // through the store's checkpoint path and heals the shard.
-    engine.rejoin(0).unwrap();
     assert_eq!(engine.health(0), ShardHealth::Healthy);
+    assert_eq!(engine.get(1), 0, "the failed put rolled back");
     engine.put(1, 8).unwrap();
     assert_eq!(engine.get(1), 8);
+    let stats = engine.fault_stats();
+    assert_eq!(stats.wal_retries, 5, "4 exhausted + 1 absorbed: {stats:?}");
+    assert_eq!(stats.wal_faults, 0, "{stats:?}");
+    assert_eq!(stats.rejoins, 0, "{stats:?}");
+    assert_eq!(engine.health_transitions(0), 0);
 }
 
 fn wb() -> StmConfig {
@@ -186,8 +197,8 @@ fn sync_failure_in_doubt_then_rejoin_all_backends() {
 }
 
 #[test]
-fn exhausted_transients_then_rejoin_all_backends() {
-    exhausted_transients_degrade_then_rejoin::<Stm>(&wb());
-    exhausted_transients_degrade_then_rejoin::<Stm>(&wt());
-    exhausted_transients_degrade_then_rejoin::<Tl2>(&Tl2Config::default());
+fn exhausted_transients_fail_the_batch_all_backends() {
+    exhausted_transients_fail_the_batch::<Stm>(&wb());
+    exhausted_transients_fail_the_batch::<Stm>(&wt());
+    exhausted_transients_fail_the_batch::<Tl2>(&Tl2Config::default());
 }

@@ -69,16 +69,11 @@ fn wal_commits(report: &Recovery) -> Vec<WalCommit> {
 /// (grouped again), and hold the acked-survival and phantom-freedom
 /// obligations.
 fn crash_matrix_run<B: ShardBackend>(config: &B::Config) {
+    let group = GroupCommitConfig::default();
     let switch = CrashSwitch::after_bytes(7_000);
     let dyns = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new_grouped(
-        SHARDS,
-        KEYS,
-        config,
-        dyns.clone(),
-        GroupCommitConfig::default(),
-    )
-    .unwrap();
+    let engine: DurableEngine<B> =
+        DurableEngine::new_grouped(SHARDS, KEYS, config, dyns.clone(), group).unwrap();
     let sinks: Vec<_> = (0..SHARDS).map(|_| TraceSink::new()).collect();
     for (i, sink) in sinks.iter().enumerate() {
         engine.engine().shard(i).shard_attach_trace(sink);
@@ -138,14 +133,8 @@ fn crash_matrix_run<B: ShardBackend>(config: &B::Config) {
         .iter()
         .map(|s| MemStore::rebooted(s.as_ref()) as Arc<dyn WalStore>)
         .collect();
-    let (recovered, reports) = DurableEngine::<B>::recover_grouped(
-        SHARDS,
-        KEYS,
-        config,
-        rebooted,
-        GroupCommitConfig::default(),
-    )
-    .unwrap();
+    let (recovered, reports) =
+        DurableEngine::<B>::recover_grouped(SHARDS, KEYS, config, rebooted, group).unwrap();
 
     // No acked commit lost; no value from the future.
     let state = recovered.read_all();
@@ -222,16 +211,12 @@ impl WalStore for SlowStore {
 
 #[test]
 fn concurrent_committers_share_flushes() {
-    let engine: DurableEngine<Stm> = DurableEngine::new_grouped(
-        1,
-        KEYS,
-        &StmConfig::default(),
-        vec![Arc::new(SlowStore {
-            inner: MemStore::healthy(),
-        }) as Arc<dyn WalStore>],
-        GroupCommitConfig::default(),
-    )
-    .unwrap();
+    let group = GroupCommitConfig::default();
+    let slow = Arc::new(SlowStore {
+        inner: MemStore::healthy(),
+    }) as Arc<dyn WalStore>;
+    let engine: DurableEngine<Stm> =
+        DurableEngine::new_grouped(1, KEYS, &StmConfig::default(), vec![slow], group).unwrap();
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let engine = &engine;
@@ -256,6 +241,7 @@ fn concurrent_committers_share_flushes() {
     let store = Arc::clone(engine.store(0));
     drop(engine);
     let (recovered, _) =
-        DurableEngine::<Stm>::recover(1, KEYS, &StmConfig::default(), vec![store]).unwrap();
+        DurableEngine::<Stm>::recover_grouped(1, KEYS, &StmConfig::default(), vec![store], group)
+            .unwrap();
     assert_eq!(recovered.read_all(), expected);
 }

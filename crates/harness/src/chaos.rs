@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use stm_engine::{DurableEngine, ShardBackend, ShardHealth, WriteError};
 use stm_tl2::{Tl2, Tl2Config};
-use stm_wal::{CrashSwitch, FaultPlan, FaultStore, MemStore, WalStore};
+use stm_wal::{CrashSwitch, FaultPlan, FaultStore, GroupCommitConfig, MemStore, WalStore};
 use tinystm::{AccessStrategy, Stm, StmConfig};
 
 use rand::rngs::SmallRng;
@@ -150,6 +150,7 @@ fn parse_seed(s: &str) -> Option<u64> {
 }
 
 fn run_one<B: ShardBackend>(opts: &ChaosOpts, config: &B::Config) -> Result<ChaosReport, String> {
+    let group = GroupCommitConfig::default();
     // Deterministic per-shard schedules: positions are append-attempt
     // counts on that shard's store. The horizon targets the log's
     // expected fill so every event can actually fire.
@@ -174,8 +175,9 @@ fn run_one<B: ShardBackend>(opts: &ChaosOpts, config: &B::Config) -> Result<Chao
         .iter()
         .map(|f| Arc::clone(f) as Arc<dyn WalStore>)
         .collect();
-    let engine: DurableEngine<B> = DurableEngine::new(opts.shards, opts.keys, config, dyns)
-        .map_err(|e| format!("chaos engine: {e}"))?;
+    let engine: DurableEngine<B> =
+        DurableEngine::new_grouped(opts.shards, opts.keys, config, dyns, group)
+            .map_err(|e| format!("chaos engine: {e}"))?;
 
     #[cfg(feature = "record")]
     let sinks: Vec<_> = (0..opts.shards)
@@ -283,7 +285,7 @@ fn run_one<B: ShardBackend>(opts: &ChaosOpts, config: &B::Config) -> Result<Chao
         .map(|s| MemStore::rebooted(&**s) as Arc<dyn WalStore>)
         .collect();
     let mut failures = Vec::new();
-    match DurableEngine::<B>::recover(opts.shards, opts.keys, config, boot) {
+    match DurableEngine::<B>::recover_grouped(opts.shards, opts.keys, config, boot, group) {
         Err(e) => failures.push(format!("recovery failed: {e}")),
         Ok((recovered, reports)) => {
             // The core contract: no acknowledged commit is lost. The

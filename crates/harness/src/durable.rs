@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stm_engine::{DurableEngine, ShardBackend};
 use stm_tl2::{Tl2, Tl2Config};
-use stm_wal::{CrashSwitch, MemStore, WalStore};
+use stm_wal::{CrashSwitch, GroupCommitConfig, MemStore, WalStore};
 
 #[cfg(feature = "record")]
 use stm_wal::Recovery;
@@ -179,6 +179,7 @@ fn run_one<B: ShardBackend>(
     opts: &DurableOpts,
     config: &B::Config,
 ) -> Result<DurableReport, String> {
+    let group = GroupCommitConfig::default();
     let switch = CrashSwitch::unlimited();
     let file_dirs: Option<Vec<std::path::PathBuf>> = opts.file_store.as_ref().map(|root| {
         (0..opts.shards)
@@ -196,8 +197,9 @@ fn run_one<B: ShardBackend>(
             .collect::<Result<_, _>>()?,
         None => stores(&switch, opts.shards),
     };
-    let engine: DurableEngine<B> = DurableEngine::new(opts.shards, opts.keys, config, dyns.clone())
-        .map_err(|e| format!("durable engine: {e}"))?;
+    let engine: DurableEngine<B> =
+        DurableEngine::new_grouped(opts.shards, opts.keys, config, dyns.clone(), group)
+            .map_err(|e| format!("durable engine: {e}"))?;
 
     #[cfg(feature = "record")]
     let sinks: Vec<_> = (0..opts.shards)
@@ -266,8 +268,9 @@ fn run_one<B: ShardBackend>(
             .map(|s| MemStore::rebooted(&**s) as Arc<dyn WalStore>)
             .collect(),
     };
-    let (recovered, reports) = DurableEngine::<B>::recover(opts.shards, opts.keys, config, boot)
-        .map_err(|e| format!("recovery failed: {e}"))?;
+    let (recovered, reports) =
+        DurableEngine::<B>::recover_grouped(opts.shards, opts.keys, config, boot, group)
+            .map_err(|e| format!("recovery failed: {e}"))?;
     let recovered_records: usize = reports.iter().map(|r| r.records.len()).sum();
     let torn_shards = reports.iter().filter(|r| !r.tail.is_clean()).count();
 
@@ -322,6 +325,7 @@ fn verify_liveness<B: ShardBackend>(
     config: &B::Config,
     failures: &mut Vec<String>,
 ) {
+    let group = GroupCommitConfig::default();
     let dyns: Vec<Arc<dyn WalStore>> = (0..opts.shards)
         .map(|i| Arc::clone(recovered.store(i)))
         .collect();
@@ -330,7 +334,7 @@ fn verify_liveness<B: ShardBackend>(
     }
     let expected = recovered.read_all();
     drop(recovered);
-    match DurableEngine::<B>::recover(opts.shards, opts.keys, config, dyns) {
+    match DurableEngine::<B>::recover_grouped(opts.shards, opts.keys, config, dyns, group) {
         Err(e) => failures.push(format!("second recovery failed: {e}")),
         Ok((again, _)) => {
             if again.read_all() != expected {

@@ -138,7 +138,6 @@ struct Tl2Ctx {
     consecutive_aborts: u32,
     rng: u64,
     /// Scratch buffer for the commit-path WAL publish (recycled).
-    #[cfg(feature = "durable")]
     wal_scratch: Vec<(usize, usize)>,
 }
 
@@ -158,7 +157,6 @@ impl Tl2Ctx {
             last_contended: None,
             consecutive_aborts: 0,
             rng: seed | 1,
-            #[cfg(feature = "durable")]
             wal_scratch: Vec::new(),
         }
     }
@@ -197,7 +195,6 @@ struct ThreadState {
     #[cfg(feature = "record")]
     trace: UnsafeCell<tinystm::trace::TraceLocal>,
     /// Cached WAL sink — owning thread only.
-    #[cfg(feature = "durable")]
     wal: UnsafeCell<tinystm::wal::WalLocal>,
 }
 
@@ -251,7 +248,6 @@ struct Tl2Inner {
     #[cfg(feature = "record")]
     trace: tinystm::trace::TraceControl,
     /// Attached WAL sink + durability epoch, if any.
-    #[cfg(feature = "durable")]
     wal: tinystm::wal::WalControl,
     /// Active protocol mutation (checker self-tests only).
     #[cfg(feature = "fault-inject")]
@@ -336,7 +332,6 @@ impl Tl2 {
                 telemetry: stm_telemetry::TxMetrics::new(),
                 #[cfg(feature = "record")]
                 trace: tinystm::trace::TraceControl::new(),
-                #[cfg(feature = "durable")]
                 wal: tinystm::wal::WalControl::new(),
                 #[cfg(feature = "fault-inject")]
                 fault: tinystm::fault::FaultSwitch::default(),
@@ -369,7 +364,6 @@ impl Tl2 {
                 ctx: UnsafeCell::new(Tl2Ctx::new(0xD1CE_5EED ^ (id << 20))),
                 #[cfg(feature = "record")]
                 trace: UnsafeCell::new(tinystm::trace::TraceLocal::new()),
-                #[cfg(feature = "durable")]
                 wal: UnsafeCell::new(tinystm::wal::WalLocal::new()),
             });
             self.inner.registry.lock().push(Arc::clone(&ts));
@@ -383,9 +377,8 @@ impl Tl2 {
     /// # Panics
     ///
     /// Panics if the attempt hits a terminal failure ([`RunError`],
-    /// e.g. a WAL publish error under the `durable` feature). The
-    /// transaction is rolled back cleanly first; use [`Tl2::try_run`]
-    /// to handle the error instead.
+    /// e.g. a WAL publish error). The transaction is rolled back
+    /// cleanly first; use [`Tl2::try_run`] to handle the error instead.
     pub fn run<R, F>(&self, kind: TxKind, body: F) -> R
     where
         F: for<'x> FnMut(&mut Tl2Tx<'x>) -> TxResult<R>,
@@ -466,9 +459,8 @@ impl Tl2 {
                 };
             }
 
-            // The WAL sink the commit publishes through (durable only).
+            // The WAL sink the commit publishes through, if attached.
             // SAFETY: the wal local belongs to this thread.
-            #[cfg(feature = "durable")]
             let wal = unsafe { &mut *ts.wal.get() }.sink(&inner.wal);
             let outcome: Result<R, AbortReason> = {
                 let mut tx = Tl2Tx {
@@ -479,7 +471,6 @@ impl Tl2 {
                     finished: false,
                     #[cfg(feature = "record")]
                     trace,
-                    #[cfg(feature = "durable")]
                     wal: wal.map(|s| &**s),
                 };
                 match body(&mut tx) {
@@ -580,7 +571,6 @@ impl Tl2 {
             // Commit timestamps renumber for the WAL too, but an epoch
             // bump restores per-epoch monotonicity — durability
             // survives roll-over where recording cannot.
-            #[cfg(feature = "durable")]
             inner.wal.advance_epoch();
             // Diagnostic counter (site S3).
             inner.rollovers.fetch_add(1, Ordering::Relaxed);
@@ -613,7 +603,6 @@ impl Tl2 {
             // recorded histories segment on the epoch.
             #[cfg(feature = "record")]
             inner.trace.advance_epoch();
-            #[cfg(feature = "durable")]
             inner.wal.advance_epoch();
             inner.reconfigurations.fetch_add(1, Ordering::Relaxed);
         });
@@ -705,21 +694,18 @@ impl Tl2 {
     /// Attach a WAL sink (see [`tinystm::Stm::attach_wal`] — same
     /// contract: committed update transactions publish their write set
     /// before releasing their stripe locks).
-    #[cfg(feature = "durable")]
     pub fn attach_wal(&self, sink: &std::sync::Arc<dyn stm_api::wal::WalSink>) {
         self.inner.wal.attach(sink);
     }
 
     /// Stop publishing to the WAL sink; threads notice at their next
     /// attempt.
-    #[cfg(feature = "durable")]
     pub fn detach_wal(&self) {
         self.inner.wal.detach();
     }
 
     /// Current durability epoch (advances on reconfigure *and* clock
     /// roll-over).
-    #[cfg(feature = "durable")]
     pub fn wal_epoch(&self) -> u64 {
         self.inner.wal.epoch()
     }
@@ -744,17 +730,14 @@ impl stm_api::TmLifecycle for Tl2 {
         Tl2::quiesce(self, critical)
     }
 
-    #[cfg(feature = "durable")]
     fn attach_wal(&self, sink: &std::sync::Arc<dyn stm_api::wal::WalSink>) {
         Tl2::attach_wal(self, sink)
     }
 
-    #[cfg(feature = "durable")]
     fn detach_wal(&self) {
         Tl2::detach_wal(self)
     }
 
-    #[cfg(feature = "durable")]
     fn wal_epoch(&self) -> u64 {
         Tl2::wal_epoch(self)
     }
@@ -840,7 +823,6 @@ pub struct Tl2Tx<'a> {
     #[cfg(feature = "record")]
     trace: Option<&'a stm_check::SessionLog>,
     /// The attached WAL sink, if durability is on for this attempt.
-    #[cfg(feature = "durable")]
     wal: Option<&'a dyn stm_api::wal::WalSink>,
 }
 
@@ -1029,7 +1011,6 @@ impl<'a> Tl2Tx<'a> {
         // words and no reader ever saw the doomed values.
         // The write set is already unique per address (store_word
         // updates in place); sort for a canonical record.
-        #[cfg(feature = "durable")]
         if let Some(wal) = self.wal {
             let Tl2Ctx {
                 wset, wal_scratch, ..

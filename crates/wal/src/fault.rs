@@ -73,8 +73,9 @@ pub struct FaultPlan {
 }
 
 /// The self-contained seeded generator (splitmix64): no dependency on
-/// the `rand` stand-in, identical output everywhere, forever.
-fn splitmix64(state: &mut u64) -> u64 {
+/// the `rand` stand-in, identical output everywhere, forever. Also the
+/// retry policy's jitter source.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -274,9 +275,15 @@ impl WalStore for FaultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::{BatchError, GroupCommitConfig, GroupCommitter};
     use crate::log::{decode_log, recover_store, TailStatus};
     use crate::store::MemStore;
     use crate::writer::LogWriter;
+
+    fn committer(store: &Arc<FaultStore>) -> Arc<GroupCommitter> {
+        let writer = LogWriter::new(0, Arc::clone(store) as Arc<dyn WalStore>, 0);
+        GroupCommitter::new(Arc::new(writer), GroupCommitConfig::default())
+    }
 
     fn plan(events: &[(u64, FaultKind)]) -> FaultPlan {
         FaultPlan {
@@ -319,10 +326,13 @@ mod tests {
     fn torn_append_persists_half_and_checkpoint_clears_it() {
         let writer_plan = plan(&[(1, FaultKind::TornAppend)]);
         let store = FaultStore::new(MemStore::healthy() as Arc<dyn WalStore>, writer_plan);
-        let writer = LogWriter::new(0, Arc::clone(&store) as Arc<dyn WalStore>, 0);
-        writer.append_commit(0, 1, &[(1, 10)]).unwrap();
-        let err = writer.append_commit(0, 2, &[(2, 20)]).unwrap_err();
-        assert!(matches!(err, StoreError::Torn { persisted, .. } if persisted > 0));
+        let gc = committer(&store);
+        gc.commit(0, 1, &[(1, 10)]).unwrap();
+        let err = gc.commit(0, 2, &[(2, 20)]).unwrap_err();
+        assert!(matches!(
+            err.error,
+            BatchError::Append(StoreError::Torn { persisted, .. }) if persisted > 0
+        ));
         // The log now ends in a damaged frame; recovery keeps the prefix.
         let (records, tail) = decode_log(&store.log_bytes()).unwrap();
         assert_eq!(records.len(), 1);
@@ -333,8 +343,7 @@ mod tests {
             entries: vec![(1, 10)],
         };
         store.checkpoint(&snap.encode()).unwrap();
-        writer.set_next_seq(0);
-        writer.append_commit(0, 3, &[(3, 30)]).unwrap();
+        gc.commit(0, 3, &[(3, 30)]).unwrap();
         let r = recover_store(&*store).unwrap();
         assert!(r.tail.is_clean());
         assert_eq!(
@@ -382,16 +391,18 @@ mod tests {
             FileStore::open(&dir).unwrap() as Arc<dyn WalStore>,
             plan(&[(1, FaultKind::SyncFail)]),
         );
-        let writer = LogWriter::new(0, Arc::clone(&store) as Arc<dyn WalStore>, 0);
-        writer.append_commit(0, 1, &[(1, 10)]).unwrap();
-        store.sync().unwrap();
-        writer.append_commit(0, 2, &[(2, 20)]).unwrap();
-        assert!(store.sync().is_err(), "injected fsync failure");
+        let gc = committer(&store);
+        gc.commit(0, 1, &[(1, 10)]).unwrap();
+        let err = gc.commit(0, 2, &[(2, 20)]).unwrap_err();
+        assert!(
+            matches!(err.error, BatchError::Sync(_)),
+            "injected fsync failure"
+        );
         // Reopen the real files: everything appended before the failed
         // sync is still a decodable log (the simulated failure did not
         // actually drop bytes — which is exactly why the record is "in
         // doubt" rather than known-lost).
-        drop(writer);
+        drop(gc);
         drop(store);
         let rebooted = FileStore::open(&dir).unwrap();
         let r = recover_store(&*rebooted).unwrap();

@@ -259,6 +259,7 @@ fn torn_or(written: usize, e: &std::io::Error, what: &str) -> StoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::{GroupCommitConfig, GroupCommitter};
     use crate::log::{recover_store, TailStatus, WalError};
     use crate::snapshot::Snapshot;
     use crate::writer::LogWriter;
@@ -277,12 +278,16 @@ mod tests {
         dir
     }
 
-    fn write_commits(store: &Arc<FileStore>, n: u64) {
+    fn committer(store: &Arc<FileStore>) -> Arc<GroupCommitter> {
         let writer = LogWriter::new(0, Arc::clone(store) as Arc<dyn WalStore>, 0);
+        GroupCommitter::new(Arc::new(writer), GroupCommitConfig::default())
+    }
+
+    fn write_commits(store: &Arc<FileStore>, n: u64) {
+        let gc = committer(store);
         for i in 0..n {
-            writer.append_commit(0, i + 1, &[(i, i * 10)]).unwrap();
+            gc.commit(0, i + 1, &[(i, i * 10)]).unwrap();
         }
-        store.sync().unwrap();
     }
 
     #[test]
@@ -367,11 +372,11 @@ mod tests {
         let dir = tmpdir("cut");
         let switch = CrashSwitch::after_bytes(30);
         let store = FileStore::with_switch(&dir, Arc::clone(&switch)).unwrap();
-        let writer = LogWriter::new(0, Arc::clone(&store) as Arc<dyn WalStore>, 0);
+        let gc = committer(&store);
         for i in 0..4u64 {
             // All succeed from the writer's point of view (power cut,
             // not I/O error) even though later bytes never land.
-            writer.append_commit(0, i + 1, &[(i, i)]).unwrap();
+            gc.commit(0, i + 1, &[(i, i)]).unwrap();
         }
         assert!(switch.is_cut());
         store.checkpoint(&Snapshot::default().encode()).unwrap(); // ignored

@@ -1,9 +1,9 @@
 //! Group commit: one log flush serves many committers.
 //!
-//! The single-record path ([`crate::writer::LogWriter::append_commit`]
-//! plus a per-commit `sync`) pays one store round-trip per commit —
-//! correct, but the fsync dominates once committers are concurrent.
-//! [`GroupCommitter`] splits publication into two halves:
+//! [`GroupCommitter`] is the only way commits reach a shard's log. A
+//! store round-trip per commit would be correct, but the fsync dominates
+//! once committers are concurrent, so publication is split in two
+//! halves:
 //!
 //! * **stage** — inside the commit critical section, a committer
 //!   reserves the next sequence number and encodes its record into the
@@ -38,19 +38,21 @@
 //! [`GroupError`], so the caller's health/fault accounting runs once
 //! per batch, not once per member: one transient fault degrades the
 //! batch, never double-counts, and — since nothing persisted — need
-//! not degrade the shard at all.
+//! not degrade the shard at all. Before failing a batch on a transient
+//! append error the leader retries it in place under the default
+//! [`RetryPolicy`]; [`GroupCommitter::retries`] counts those retries.
 //!
 //! After a *non-transient* append failure the log may end in a damaged
-//! frame; as with the single-record path, the caller must stop
-//! appending until a checkpoint truncates the log (the engine's health
-//! machine enforces this). A failed *sync* leaves every record of the
-//! batch in doubt — present and decodable, never acknowledged — which
-//! the per-member [`GroupError::in_doubt`] flag reports; for a torn
-//! append the flag is set only for members whose frame landed entirely
-//! inside the persisted prefix.
+//! frame; the caller must stop appending until a checkpoint truncates
+//! the log (the engine's health machine enforces this). A failed *sync*
+//! leaves every record of the batch in doubt — present and decodable,
+//! never acknowledged — which the per-member [`GroupError::in_doubt`]
+//! flag reports; for a torn append the flag is set only for members
+//! whose frame landed entirely inside the persisted prefix.
 //!
 //! [`SeqGap`]: crate::log::WalError::SeqGap
 
+use crate::retry::RetryPolicy;
 use crate::store::{StoreError, WalStore};
 use crate::writer::LogWriter;
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,35 +60,28 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Size/time bounds for one batch, plus the leader's retry budget.
+/// Bytes per batch: stagers beyond it wait for the next batch, like
+/// [`GroupCommitConfig::max_records`].
+const MAX_BATCH_BYTES: usize = 1 << 16;
+
+/// Size/time bounds for one batch.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupCommitConfig {
     /// Records per batch; stagers beyond it wait for the next batch
     /// (the committer's built-in backpressure).
     pub max_records: usize,
-    /// Bytes per batch (same backpressure once exceeded).
-    pub max_bytes: usize,
     /// How long a leader waits for the batch to fill before flushing.
     /// Zero (the default) flushes immediately: batching then comes only
     /// from records staged while a flush is in flight, which costs idle
     /// committers no latency at all.
     pub max_wait: Duration,
-    /// Transient append failures retried in place by the leader before
-    /// the batch is failed (nothing persisted, so the identical bytes
-    /// may be re-issued).
-    pub transient_retries: u32,
-    /// Sleep between those retries.
-    pub retry_backoff: Duration,
 }
 
 impl Default for GroupCommitConfig {
     fn default() -> GroupCommitConfig {
         GroupCommitConfig {
             max_records: 64,
-            max_bytes: 1 << 16,
             max_wait: Duration::ZERO,
-            transient_retries: 4,
-            retry_backoff: Duration::from_micros(50),
         }
     }
 }
@@ -108,9 +103,10 @@ impl GroupCommitConfig {
 /// Why a batch failed, at batch granularity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchError {
-    /// The batch append failed after the leader's transient retries.
-    /// `Transient` here means nothing of the batch persisted; `Torn`
-    /// means a prefix did (see [`GroupError::in_doubt`]).
+    /// The batch append failed (transient errors only after the
+    /// leader's in-place retries). `Transient` here means nothing of the
+    /// batch persisted; `Torn` means a prefix did (see
+    /// [`GroupError::in_doubt`]).
     Append(StoreError),
     /// The append succeeded but the durability sync failed: every
     /// record of the batch is in the log, none is confirmed.
@@ -203,11 +199,6 @@ struct State {
 }
 
 /// Amortized flush/ack driver over one shard's [`LogWriter`].
-///
-/// A writer driven through a `GroupCommitter` must not also be driven
-/// through [`LogWriter::append_commit`] — the two paths would interleave
-/// sequence reservation and byte delivery (the engine keeps the modes
-/// exclusive per shard).
 pub struct GroupCommitter {
     writer: Arc<LogWriter>,
     config: GroupCommitConfig,
@@ -216,6 +207,8 @@ pub struct GroupCommitter {
     cond: Condvar,
     flushes: AtomicU64,
     records_flushed: AtomicU64,
+    /// Transient append failures retried in place.
+    retries: AtomicU64,
     /// Called with `(records, bytes)` after each successful flush.
     observer: Mutex<Option<FlushObserver>>,
 }
@@ -237,6 +230,7 @@ impl GroupCommitter {
             cond: Condvar::new(),
             flushes: AtomicU64::new(0),
             records_flushed: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
             observer: Mutex::new(None),
         })
     }
@@ -256,6 +250,12 @@ impl GroupCommitter {
     /// Records acknowledged across all successful flushes.
     pub fn records_flushed(&self) -> u64 {
         self.records_flushed.load(Ordering::Relaxed)
+    }
+
+    /// Transient append failures retried in place so far (each retried
+    /// attempt counts once, whether or not its batch then succeeded).
+    pub fn retries(&self) -> u64 {
+        self.retries.load(Ordering::Relaxed)
     }
 
     /// Records currently staged and unflushed (tests, introspection).
@@ -328,9 +328,10 @@ impl GroupCommitter {
     }
 
     fn batch_full(&self, state: &State) -> bool {
-        state.pending.as_ref().is_some_and(|p| {
-            p.records >= self.config.max_records || p.buf.len() >= self.config.max_bytes
-        })
+        state
+            .pending
+            .as_ref()
+            .is_some_and(|p| p.records >= self.config.max_records || p.buf.len() >= MAX_BATCH_BYTES)
     }
 
     /// The leader loop: flush the pending batch, and keep flushing as
@@ -399,17 +400,11 @@ impl GroupCommitter {
     /// place (nothing persisted, identical bytes re-issued).
     fn flush_batch(&self, batch: &Pending) -> Result<(), BatchError> {
         let store: &Arc<dyn WalStore> = self.writer.store();
-        let mut attempt = 0u32;
-        loop {
-            match store.append(&batch.buf) {
-                Ok(()) => break,
-                Err(e) if e.is_transient() && attempt < self.config.transient_retries => {
-                    attempt += 1;
-                    std::thread::sleep(self.config.retry_backoff);
-                }
-                Err(e) => return Err(BatchError::Append(e)),
-            }
-        }
+        let (appended, retries) =
+            RetryPolicy::default().run(batch.first_seq, || store.append(&batch.buf));
+        self.retries
+            .fetch_add(u64::from(retries), Ordering::Relaxed);
+        appended.map_err(BatchError::Append)?;
         store.sync().map_err(BatchError::Sync)
     }
 }
@@ -545,15 +540,10 @@ mod tests {
     #[test]
     fn transient_flush_failure_rolls_seq_back_for_the_next_batch() {
         let store = HarnessStore::new();
-        let config = GroupCommitConfig {
-            transient_retries: 1,
-            retry_backoff: Duration::ZERO,
-            ..GroupCommitConfig::default()
-        };
-        let gc = committer(&store, config);
+        let gc = committer(&store, GroupCommitConfig::default());
         gc.commit(0, 1, &[(1, 10)]).unwrap();
-        // Fail past the retry budget: 1 retry allowed, 2 failures.
-        store.fail_appends.store(2, Ordering::SeqCst);
+        // Fail past the retry budget: 4 retries allowed, 5 failures.
+        store.fail_appends.store(5, Ordering::SeqCst);
         let err = gc.commit(0, 2, &[(2, 20)]).unwrap_err();
         assert!(matches!(
             err.error,
@@ -561,6 +551,7 @@ mod tests {
         ));
         assert!(err.primary, "sole member of the batch is the primary");
         assert!(!err.in_doubt, "nothing persisted on a transient failure");
+        assert_eq!(gc.retries(), 4, "every in-place retry is counted");
         // The failed batch's seq was rolled back: the next commit
         // continues the contiguous run.
         gc.commit(0, 3, &[(3, 30)]).unwrap();
@@ -580,14 +571,11 @@ mod tests {
     #[test]
     fn failed_flush_cancels_the_batch_staged_behind_it() {
         let store = HarnessStore::new();
-        let config = GroupCommitConfig {
-            transient_retries: 0,
-            ..GroupCommitConfig::default()
-        };
-        let gc = committer(&store, config);
+        let gc = committer(&store, GroupCommitConfig::default());
         let gate = Arc::new(Barrier::new(2));
         *store.hold.lock() = Some(Arc::clone(&gate));
-        store.fail_appends.store(1, Ordering::SeqCst);
+        // Exhaust the leader's retries (1 attempt + 4 retries).
+        store.fail_appends.store(5, Ordering::SeqCst);
 
         // Whichever thread wins the state lock leads and fails; the
         // other stages behind it and is cancelled — collect both and

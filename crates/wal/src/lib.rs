@@ -1,20 +1,22 @@
 //! # stm-wal — write-ahead logging and crash recovery for the STM engines
 //!
-//! The durability substrate under the `durable` feature of the backends
-//! and `stm-engine`: every committed update transaction publishes an
-//! append-only, CRC-checksummed record (epoch, commit timestamp, write
-//! set) through a per-shard sink; recovery replays the log from empty
+//! The durability substrate under the backends' WAL hooks and
+//! `stm-engine`'s durable layer: every committed update transaction
+//! publishes an append-only, CRC-checksummed record (epoch, commit
+//! timestamp, write set) through a per-shard sink; recovery replays the log from empty
 //! (or from the last checkpoint snapshot) and reconstructs the
 //! committed state — or fails loudly, never silently diverging.
 //!
 //! The pieces:
 //!
 //! * [`record::WalRecord`] — the framed on-log record format;
-//! * [`writer::LogWriter`] — serialized append side (seq assignment),
-//!   with a per-commit append path and a group-commit staging path;
-//! * [`group::GroupCommitter`] — amortized flush/ack: many committers
+//! * [`writer::LogWriter`] — seq assignment and record encoding
+//!   (staging onto a batch buffer);
+//! * [`group::GroupCommitter`] — the one commit path: many committers
 //!   stage into one batch, one append + one sync acknowledges all of
 //!   them, with typed per-batch failure fan-out;
+//! * [`retry::RetryPolicy`] — bounded, jittered in-place retry of
+//!   transient store errors (batch appends, checkpoints);
 //! * [`store::WalStore`] / [`store::MemStore`] / [`store::CrashSwitch`]
 //!   — storage with byte-granular crash simulation and the
 //!   [`store::StoreError`] transient/torn/permanent failure taxonomy;
@@ -36,7 +38,7 @@
 //!
 //! The backends do not depend on this crate: they publish through
 //! `stm_api::wal::WalSink`, and `stm-engine`'s durable layer adapts
-//! that to a [`writer::LogWriter`].
+//! that to a [`group::GroupCommitter`].
 
 pub mod crc;
 pub mod fault;
@@ -44,6 +46,7 @@ pub mod file;
 pub mod group;
 pub mod log;
 pub mod record;
+pub mod retry;
 pub mod snapshot;
 pub mod store;
 pub mod writer;
@@ -55,6 +58,7 @@ pub use log::{
     decode_log, recover_store, replay_onto, snapshot_of, Recovery, TailStatus, WalError,
 };
 pub use record::WalRecord;
+pub use retry::RetryPolicy;
 pub use snapshot::Snapshot;
 pub use store::{CrashSwitch, MemStore, StoreError, WalStore};
 pub use writer::LogWriter;

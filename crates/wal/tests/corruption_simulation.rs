@@ -1,4 +1,4 @@
-//! Corruption simulation (strata-core style): drive a writer, damage
+//! Corruption simulation (strata-core style): drive a committer, damage
 //! the stored bytes the way real crashes and media faults do, and
 //! assert recovery either restores a prefix-consistent state or fails
 //! loudly — never silently diverges.
@@ -17,16 +17,21 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use stm_wal::{
-    decode_log, recover_store, replay_onto, snapshot_of, CrashSwitch, LogWriter, MemStore,
-    TailStatus, WalError, WalStore,
+    decode_log, recover_store, replay_onto, snapshot_of, CrashSwitch, GroupCommitConfig,
+    GroupCommitter, LogWriter, MemStore, TailStatus, WalError, WalStore,
 };
+
+fn committer(store: &Arc<MemStore>) -> Arc<GroupCommitter> {
+    let writer = LogWriter::new(0, Arc::clone(store) as Arc<dyn WalStore>, 0);
+    GroupCommitter::new(Arc::new(writer), GroupCommitConfig::default())
+}
 
 /// Deterministic workload: n commits over a small key space; returns
 /// the store, the full (shadow) log bytes, and the expected state after
 /// each commit prefix.
 fn scripted_log(commits: usize, seed: u64) -> (Arc<MemStore>, Vec<u8>, Vec<BTreeMap<u64, u64>>) {
     let store = MemStore::healthy();
-    let writer = LogWriter::new(0, Arc::clone(&store) as Arc<dyn WalStore>, 0);
+    let gc = committer(&store);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut state = BTreeMap::new();
     let mut prefixes = vec![state.clone()];
@@ -37,7 +42,7 @@ fn scripted_log(commits: usize, seed: u64) -> (Arc<MemStore>, Vec<u8>, Vec<BTree
             .collect();
         writes.sort_unstable_by_key(|&(k, _)| k);
         writes.dedup_by_key(|&mut (k, _)| k);
-        writer.append_commit(0, ts, &writes).unwrap();
+        gc.commit(0, ts, &writes).unwrap();
         for &(k, v) in &writes {
             state.insert(k, v);
         }
@@ -176,21 +181,21 @@ fn snapshot_bit_flips_are_always_hard_errors() {
 fn checkpoint_then_crash_recovers_snapshot_plus_log_tail() {
     let switch = CrashSwitch::unlimited();
     let store = MemStore::new(Arc::clone(&switch));
-    let writer = LogWriter::new(0, Arc::clone(&store) as Arc<dyn WalStore>, 0);
+    let gc = committer(&store);
     let mut state = BTreeMap::new();
     for ts in 1..=10u64 {
-        writer.append_commit(0, ts, &[(ts % 4, ts * 100)]).unwrap();
+        gc.commit(0, ts, &[(ts % 4, ts * 100)]).unwrap();
         state.insert(ts % 4, ts * 100);
     }
     // Checkpoint at epoch 1 (as the engine does inside a quiesce fence),
     // then keep committing in the new epoch.
     store.checkpoint(&snapshot_of(&state, 1).encode()).unwrap();
     for ts in 1..=5u64 {
-        writer.append_commit(1, ts, &[(10 + ts, ts)]).unwrap();
+        gc.commit(1, ts, &[(10 + ts, ts)]).unwrap();
         state.insert(10 + ts, ts);
     }
     switch.cut_now();
-    writer.append_commit(1, 6, &[(99, 99)]).unwrap(); // "succeeds", lost
+    gc.commit(1, 6, &[(99, 99)]).unwrap(); // "succeeds", lost
     let recovery = recover_store(&*store).unwrap();
     assert_eq!(recovery.snapshot_epoch, 1);
     assert_eq!(recovery.records.len(), 5);
