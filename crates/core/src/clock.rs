@@ -5,7 +5,7 @@
 //! When the configured maximum is reached the clock reports overflow and
 //! the STM runs the roll-over protocol: quiesce all transactions, zero
 //! every version number, and reset the clock (see `quiesce.rs` /
-//! `Stm::handle_overflow`).
+//! `Runtime::handle_overflow`).
 //!
 //! ## Memory ordering (DESIGN.md §3, sites C1–C3)
 //!
@@ -25,7 +25,7 @@
 //!   pattern with `active_start` publication: a starting transaction
 //!   stores its oldest-reader marker and *then* samples the clock,
 //!   while the limbo reclaimer is ordered on the other side (see
-//!   `stm.rs` site S2); with anything weaker both sides could miss each
+//!   `runtime.rs` site S2); with anything weaker both sides could miss each
 //!   other and a block could be reclaimed while a just-starting
 //!   snapshot can still reach it. A SeqCst *load* costs the same as an
 //!   Acquire load on x86-64, so there is nothing to win by splitting

@@ -2,9 +2,11 @@
 //!
 //! The `stm-check` oracle is only trustworthy if it is demonstrably
 //! *live*: a mutation that breaks the protocol must make the checker
-//! report a violation. These hooks implement such mutations. They are
-//! compiled out of normal builds and must never be enabled in a build
-//! whose results you intend to trust.
+//! report a violation. These hooks implement such mutations. Every
+//! build carries the switch, but only the `fault-inject` feature
+//! exposes `inject_fault` and makes the protocols consult it (without
+//! it the check is a constant `false` and compiles away). Never enable
+//! the feature in a build whose results you intend to trust.
 
 use core::sync::atomic::{AtomicU8, Ordering};
 

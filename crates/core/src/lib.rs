@@ -47,7 +47,6 @@
 pub mod cacheline;
 pub mod clock;
 pub mod config;
-#[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod hierarchy;
 pub mod lockword;
@@ -55,6 +54,7 @@ pub mod mapping;
 pub mod mem;
 pub mod quiesce;
 pub mod readset;
+pub mod runtime;
 pub mod stats;
 pub mod stm;
 #[cfg(feature = "record")]
@@ -66,8 +66,9 @@ pub mod writelog;
 
 pub use cacheline::CacheAligned;
 pub use config::{AccessStrategy, CmPolicy, ConfigError, StmConfig};
+pub use runtime::{Protocol, Runtime, StmStats};
 pub use stats::{StatsSnapshot, ThreadStats};
-pub use stm::{Stm, StmStats};
+pub use stm::Stm;
 pub use tvar::{TArray, TCell, TxExt, Word};
 pub use tx::Tx;
 

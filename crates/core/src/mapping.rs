@@ -2,9 +2,10 @@
 //!
 //! This bundles everything that changes atomically under dynamic
 //! reconfiguration (Section 4): the lock array (`#locks`), the hash
-//! shift (`#shifts`), and the hierarchical array (`h`). `Stm` holds the
-//! current `Mapping` behind an atomic pointer swapped inside a quiesce
-//! fence.
+//! shift (`#shifts`), and the hierarchical array (`h`). The runtime
+//! holds the current `Mapping` behind an atomic pointer swapped inside a
+//! quiesce fence. TL2 uses the same lock array and hash with the
+//! hierarchy disabled.
 //!
 //! The hash is the paper's per-stripe mapping: right-shift the address by
 //! the implicit word shift (3 on 64-bit) plus the tunable `#shifts`, then

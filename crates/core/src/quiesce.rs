@@ -202,7 +202,7 @@ impl Drop for ActiveGuard<'_> {
         // of limbo-protected memory) must happen-before a reclaimer
         // that observes the idle marker and deallocates. The opposite
         // direction (a *starting* attempt vs the reclaimer) is the
-        // Dekker pattern at site S2 in `stm.rs` and needs SeqCst there,
+        // Dekker pattern at site S2 in `runtime.rs` and needs SeqCst there,
         // not here.
         self.active_start.store(u64::MAX, Ordering::Release);
         self.quiesce.exit();

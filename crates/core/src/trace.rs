@@ -1,5 +1,5 @@
-//! Recording plumbing for the `record` cargo feature (shared by the
-//! TinySTM core and the TL2 crate): an instance-level [`TraceControl`]
+//! Recording plumbing for the `record` cargo feature (the runtime's,
+//! for both protocols): an instance-level [`TraceControl`]
 //! holding the attached [`stm_check::TraceSink`] and the instance's
 //! reconfigure-epoch counter, and a per-thread [`TraceLocal`] that
 //! caches this thread's registered session log.

@@ -52,60 +52,56 @@
 //!   `writelog.rs`).
 
 use crate::config::AccessStrategy;
+use crate::fault::FaultInjection;
 use crate::lockword::{
     is_owned, make_owned, make_version, owner_ptr, version_of, wt_bump_incarnation, wt_make,
 };
 use crate::mapping::Mapping;
 use crate::readset::ReadSet;
-use crate::stm::{StmInner, ThreadState};
+use crate::runtime::{Hooks, Shared, ThreadState};
+use crate::stm::Lsa;
 use crate::writelog::{StripeRecord, WriteLog};
-use core::sync::atomic::Ordering;
+use core::sync::atomic::{AtomicUsize, Ordering};
 use stm_api::{atomic_view, Abort, AbortReason, TmTx, TxKind, TxResult};
 
 /// Bound on l1/value/l2 re-read loops before declaring the read
 /// inconsistent (forward-progress guard; the paper retries indefinitely).
 const MAX_READ_RETRIES: u32 = 64;
 
-/// Per-thread transactional state, recycled across attempts.
+/// Per-thread transactional state, recycled across attempts (the
+/// [`crate::runtime::Protocol::Ctx`] of [`Lsa`]).
 #[derive(Debug)]
-pub(crate) struct TxCtx {
+pub struct TxCtx {
     /// Kind of the current attempt.
-    pub kind: TxKind,
+    pub(crate) kind: TxKind,
     /// Snapshot validity range `[start, end]` (LSA).
-    pub start: u64,
-    pub end: u64,
+    pub(crate) start: u64,
+    pub(crate) end: u64,
     /// Read set (update transactions only).
-    pub rset: ReadSet,
+    pub(crate) rset: ReadSet,
     /// Write log: stripe records, write-back chains, undo log.
-    pub wlog: WriteLog,
+    pub(crate) wlog: WriteLog,
     /// Hierarchy masks and saved counters.
-    pub hier: crate::hierarchy::TxHier,
+    pub(crate) hier: crate::hierarchy::TxHier,
     /// Blocks allocated by this attempt: `(ptr, words)`.
-    pub alloc_log: Vec<(usize, usize)>,
+    pub(crate) alloc_log: Vec<(usize, usize)>,
     /// Blocks freed by this attempt (deferred to commit).
-    pub free_log: Vec<(usize, usize)>,
+    pub(crate) free_log: Vec<(usize, usize)>,
     /// Blocks both allocated *and* freed by this attempt: on commit they
     /// ride the free log into limbo; on abort they are reclaimed here
     /// (the free log is discarded).
-    pub alloc_freed: Vec<(usize, usize)>,
+    pub(crate) alloc_freed: Vec<(usize, usize)>,
     /// Reads performed by the current attempt (flushed to
     /// `wasted_reads` if the attempt aborts).
-    pub attempt_reads: u64,
-    /// Lock index of the stripe the last abort collided on (consumed by
-    /// the CM_DELAY policy at the next attempt's start).
-    pub last_contended: Option<usize>,
-    /// Consecutive aborts of the current `run` invocation (backoff).
-    pub consecutive_aborts: u32,
-    /// xorshift state for randomized backoff.
-    pub rng: u64,
+    pub(crate) attempt_reads: u64,
     /// Scratch buffer for the commit-path WAL publish: the attempt's
     /// `(addr, value)` write set, deduplicated and address-sorted.
     /// Recycled across attempts like the read set and write log.
-    pub wal_scratch: Vec<(usize, usize)>,
+    pub(crate) wal_scratch: Vec<(usize, usize)>,
 }
 
-impl TxCtx {
-    pub(crate) fn new(seed: u64) -> TxCtx {
+impl Default for TxCtx {
+    fn default() -> TxCtx {
         TxCtx {
             kind: TxKind::ReadWrite,
             start: 0,
@@ -117,13 +113,12 @@ impl TxCtx {
             free_log: Vec::new(),
             alloc_freed: Vec::new(),
             attempt_reads: 0,
-            last_contended: None,
-            consecutive_aborts: 0,
-            rng: seed | 1,
             wal_scratch: Vec::new(),
         }
     }
+}
 
+impl TxCtx {
     /// Prepare for a fresh attempt under `map` with snapshot time `now`.
     pub(crate) fn begin(&mut self, kind: TxKind, map: &Mapping, now: u64) {
         self.kind = kind;
@@ -138,31 +133,14 @@ impl TxCtx {
         self.alloc_freed.clear();
         self.attempt_reads = 0;
     }
-
-    /// Next pseudo-random number (xorshift64*), for backoff jitter.
-    pub(crate) fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-}
-
-/// How an attempt ended (consumed by the run loop).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AttemptEnd {
-    Committed,
-    Aborted(AbortReason),
 }
 
 /// An in-flight transaction attempt. Public API surface of the STM;
 /// obtained through [`crate::Stm::run`].
 pub struct Tx<'a> {
-    pub(crate) inner: &'a StmInner,
+    pub(crate) inner: &'a Shared<Lsa>,
     pub(crate) map: &'a Mapping,
-    pub(crate) ts: &'a ThreadState,
+    pub(crate) ts: &'a ThreadState<Lsa>,
     pub(crate) ctx: &'a mut TxCtx,
     /// Set once commit/rollback ran; `Drop` rolls back otherwise
     /// (panic safety: a panicking closure must not leave locks held).
@@ -171,11 +149,8 @@ pub struct Tx<'a> {
     pub(crate) strategy: AccessStrategy,
     pub(crate) hier_on: bool,
     pub(crate) me: usize,
-    /// This thread's recording session, if a trace sink is attached.
-    #[cfg(feature = "record")]
-    pub(crate) trace: Option<&'a stm_check::SessionLog>,
-    /// The attached WAL sink, if durability is on for this attempt.
-    pub(crate) wal: Option<&'a dyn stm_api::wal::WalSink>,
+    /// Recording session and WAL sink for this attempt.
+    pub(crate) hooks: Hooks<'a>,
 }
 
 impl<'a> Drop for Tx<'a> {
@@ -224,18 +199,6 @@ impl<'a> Tx<'a> {
         // Bookkeeping happens in rollback (called by the run loop /
         // Drop); here we only materialize the error value.
         Abort(reason)
-    }
-
-    /// Append one event to this thread's recording session (no-op when
-    /// no sink is attached).
-    #[cfg(feature = "record")]
-    #[inline(always)]
-    fn emit(&self, event: stm_check::Event) {
-        if let Some(log) = self.trace {
-            // SAFETY: the run loop handed this attempt the session log
-            // registered by (and owned by) the current thread.
-            unsafe { log.push(event) };
-        }
     }
 
     /// Validate the read set: every entry must still carry the version
@@ -298,12 +261,11 @@ impl<'a> Tx<'a> {
         }
         // Sample before validating: the snapshot is extended to a time
         // no later than any validation check.
-        let now = self.inner.clock.now();
-        #[cfg(feature = "fault-inject")]
-        if matches!(
-            self.inner.fault.get(),
-            crate::fault::FaultInjection::SkipExtendValidation
-        ) {
+        let now = self.inner.clock().now();
+        if self
+            .inner
+            .fault_active(FaultInjection::SkipExtendValidation)
+        {
             // Deliberate mutation: extend without validating, handing
             // later reads a snapshot the earlier reads may not share.
             self.ts.stats.bump_extension();
@@ -318,6 +280,21 @@ impl<'a> Tx<'a> {
             self.ts.stats.bump_extend_failure();
             Err(self.abort(AbortReason::ExtendFailed))
         }
+    }
+
+    /// The word a read found (lock word `l1`, value read under it) is
+    /// newer than the snapshot: extend it, then report whether the
+    /// value still holds. The extension validated the read set, which
+    /// does not hold this read yet, so a commit landing between the
+    /// read and the extension's clock sample would leave the value
+    /// older than the extended snapshot; TinySTM's `stm_read` re-checks
+    /// the lock here for the same reason. Out of line: inlined, this
+    /// rare path costs the read loop registers.
+    #[cold]
+    #[inline(never)]
+    fn extend_for_read(&mut self, lock: &AtomicUsize, l1: usize) -> TxResult<bool> {
+        self.extend()?;
+        Ok(lock.load(Ordering::Acquire) == l1)
     }
 
     /// Transactional read, inlined-hot. See module docs of `tx` and the
@@ -365,7 +342,7 @@ impl<'a> Tx<'a> {
                 }
                 // Encounter-time conflict: abort immediately (paper's
                 // choice over waiting; CM_DELAY consumes the index).
-                self.ctx.last_contended = Some(idx);
+                self.ts.set_contended(idx);
                 return Err(self.abort(AbortReason::ReadLocked));
             }
             // Sites R3 + F1 + R4 (module docs): the seqlock re-check.
@@ -384,9 +361,9 @@ impl<'a> Tx<'a> {
                 continue;
             }
             let version = version_of(l1, self.strategy());
-            if version > self.ctx.end {
-                // The word changed after our snapshot: extend or die.
-                self.extend()?;
+            if version > self.ctx.end && !self.extend_for_read(lock, l1)? {
+                // The stripe moved while we extended: read it again.
+                continue;
             }
             if update {
                 let part = if hier_on { hidx } else { 0 };
@@ -401,11 +378,7 @@ impl<'a> Tx<'a> {
             // failed never returns a value, so it must not enter the
             // history (own-stripe reads above are internal and carry no
             // version; they are covered by the stripe's write).
-            #[cfg(feature = "record")]
-            self.emit(stm_check::Event::Read {
-                stripe: idx as u64,
-                version,
-            });
+            self.hooks.record_read(idx, version);
             return Ok(value);
         }
     }
@@ -449,11 +422,10 @@ impl<'a> Tx<'a> {
                             atomic_view(addr).store(value, Ordering::Release);
                         }
                     }
-                    #[cfg(feature = "record")]
-                    self.emit(stm_check::Event::Write { stripe: idx as u64 });
+                    self.hooks.record_write(idx);
                     return Ok(());
                 }
-                self.ctx.last_contended = Some(idx);
+                self.ts.set_contended(idx);
                 return Err(self.abort(AbortReason::WriteLocked));
             }
             // Detect a conflicting committed write early: if the stripe
@@ -495,8 +467,7 @@ impl<'a> Tx<'a> {
                     atomic_view(addr).store(value, Ordering::Release);
                 }
             }
-            #[cfg(feature = "record")]
-            self.emit(stm_check::Event::Write { stripe: idx as u64 });
+            self.hooks.record_write(idx);
             return Ok(());
         }
     }
@@ -504,7 +475,7 @@ impl<'a> Tx<'a> {
     /// Commit the attempt. On success the transaction's writes are
     /// visible with a unique commit timestamp; on failure the attempt is
     /// fully rolled back and the caller retries.
-    pub(crate) fn commit(mut self) -> AttemptEnd {
+    pub(crate) fn commit(mut self) -> Result<(), AbortReason> {
         // Read-only commit (by kind, or an update transaction that never
         // wrote): the incrementally-validated snapshot is consistent,
         // nothing to do — the paper's read-only fast path.
@@ -518,18 +489,17 @@ impl<'a> Tx<'a> {
                 self.ts.stats.bump_ro_commit();
             }
             self.ctx.alloc_log.clear();
-            #[cfg(feature = "record")]
-            self.emit(stm_check::Event::Commit { version: None });
+            self.hooks.record_commit(None);
             self.finished = true;
-            return AttemptEnd::Committed;
+            return Ok(());
         }
 
-        let wv = match self.inner.clock.increment() {
+        let wv = match self.inner.clock().increment() {
             Ok(v) => v,
             Err(_) => {
                 let reason = AbortReason::ClockOverflow;
                 self.rollback(reason);
-                return AttemptEnd::Aborted(reason);
+                return Err(reason);
             }
         };
         // Foreign commit timestamps consumed between our (last
@@ -542,19 +512,16 @@ impl<'a> Tx<'a> {
 
         // Validation can be skipped when no transaction committed since
         // our snapshot's upper bound (commit time adjacent to it).
-        #[cfg(feature = "fault-inject")]
-        let skip_validation = matches!(
-            self.inner.fault.get(),
-            crate::fault::FaultInjection::SkipCommitValidation
-        );
-        #[cfg(not(feature = "fault-inject"))]
-        let skip_validation = false;
         if wv == self.ctx.end + 1 {
             self.ts.stats.bump_commit_validation_skip();
-        } else if !skip_validation && !self.validate() {
+        } else if !self
+            .inner
+            .fault_active(FaultInjection::SkipCommitValidation)
+            && !self.validate()
+        {
             let reason = AbortReason::ValidationFailed;
             self.rollback(reason);
-            return AttemptEnd::Aborted(reason);
+            return Err(reason);
         }
 
         let strategy = self.strategy();
@@ -570,7 +537,7 @@ impl<'a> Tx<'a> {
         // write-back the buffered values are available without touching
         // memory. Write-through already stored in place at encounter
         // time; its failure path restores through the undo log.
-        if let Some(wal) = self.wal {
+        if let Some(wal) = self.hooks.wal() {
             let TxCtx {
                 wlog, wal_scratch, ..
             } = &mut *self.ctx;
@@ -607,7 +574,7 @@ impl<'a> Tx<'a> {
             wal_scratch.sort_unstable_by_key(|&(addr, _)| addr);
             wal_scratch.dedup_by_key(|&mut (addr, _)| addr);
             if wal
-                .publish(self.inner.wal.epoch(), wv, wal_scratch)
+                .publish(self.inner.wal_epoch(), wv, wal_scratch)
                 .is_err()
             {
                 // The record is durably absent; the commit must not
@@ -615,7 +582,7 @@ impl<'a> Tx<'a> {
                 // let the run loop surface the failure — never retry.
                 let reason = AbortReason::WalFailed;
                 self.rollback(reason);
-                return AttemptEnd::Aborted(reason);
+                return Err(reason);
             }
         }
 
@@ -649,15 +616,14 @@ impl<'a> Tx<'a> {
         // Committed frees enter limbo stamped with our commit time
         // (including blocks allocated by this very attempt).
         if !self.ctx.free_log.is_empty() {
-            self.inner.limbo.push(self.ctx.free_log.drain(..), wv);
+            self.inner.limbo().push(self.ctx.free_log.drain(..), wv);
         }
         self.ctx.alloc_log.clear();
         self.ctx.alloc_freed.clear();
         self.ts.stats.bump_commit();
-        #[cfg(feature = "record")]
-        self.emit(stm_check::Event::Commit { version: Some(wv) });
+        self.hooks.record_commit(Some(wv));
         self.finished = true;
-        AttemptEnd::Committed
+        Ok(())
     }
 
     /// Undo the attempt: restore memory (write-through), release locks,
@@ -687,7 +653,7 @@ impl<'a> Tx<'a> {
                     // fetch a fresh version from the clock (paper §3.1).
                     match wt_bump_incarnation(prior) {
                         Some(w) => w,
-                        None => wt_make(self.inner.clock.force_increment(), 0),
+                        None => wt_make(self.inner.clock().force_increment(), 0),
                     }
                 }
             };
@@ -709,8 +675,7 @@ impl<'a> Tx<'a> {
         self.ctx.free_log.clear();
         self.ts.stats.add_wasted_reads(self.ctx.attempt_reads);
         self.ts.stats.bump_abort(reason);
-        #[cfg(feature = "record")]
-        self.emit(stm_check::Event::Abort);
+        self.hooks.record_abort();
         self.finished = true;
     }
 }

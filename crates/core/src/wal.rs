@@ -1,5 +1,5 @@
-//! WAL plumbing for the commit path (shared by the TinySTM
-//! core and the TL2 crate): an instance-level [`WalControl`] holding
+//! WAL plumbing for the commit path (the runtime's, for both
+//! protocols): an instance-level [`WalControl`] holding
 //! the attached [`stm_api::wal::WalSink`] and the instance's durability
 //! epoch, and a per-thread [`WalLocal`] caching the sink pointer.
 //!

@@ -43,32 +43,8 @@ pub trait ShardBackend: TmLifecycle {
     fn shard_record_epoch(&self) -> u64;
 }
 
-impl ShardBackend for tinystm::Stm {
-    fn shard_tx_metrics(&self) -> &stm_telemetry::TxMetrics {
-        self.telemetry()
-    }
-
-    fn shard_collect_metrics(&self, frame: &mut stm_telemetry::MetricsFrame) {
-        stm_telemetry::MetricsSource::collect(self, frame)
-    }
-
-    #[cfg(feature = "record")]
-    fn shard_attach_trace(&self, sink: &std::sync::Arc<stm_check::TraceSink>) {
-        self.attach_trace(sink)
-    }
-
-    #[cfg(feature = "record")]
-    fn shard_detach_trace(&self) {
-        self.detach_trace()
-    }
-
-    #[cfg(feature = "record")]
-    fn shard_record_epoch(&self) -> u64 {
-        self.record_epoch()
-    }
-}
-
-impl ShardBackend for stm_tl2::Tl2 {
+/// Both backends are protocols of one runtime, so one impl serves them.
+impl<P: tinystm::Protocol> ShardBackend for tinystm::Runtime<P> {
     fn shard_tx_metrics(&self) -> &stm_telemetry::TxMetrics {
         self.telemetry()
     }

@@ -6,8 +6,10 @@
 //! write-back with a Bloom-filter read-after-write test, a global
 //! version clock, and no snapshot extension.
 //!
-//! It implements the same [`stm_api`] traits as the `tinystm` crate, so
-//! every benchmark data structure and workload runs unmodified on both.
+//! It is a second locking protocol on the `tinystm` crate's runtime
+//! (`Tl2 = tinystm::Runtime<Tl2Protocol>`), so it shares that crate's
+//! run loop and handle API, and every benchmark data structure and
+//! workload runs unmodified on both.
 //!
 //! ```
 //! use stm_tl2::{Tl2, Tl2Config};
@@ -28,4 +30,4 @@ pub mod bloom;
 mod tl2;
 
 pub use bloom::Bloom;
-pub use tl2::{Tl2, Tl2Config, Tl2Stats, Tl2Tx};
+pub use tl2::{Tl2, Tl2Config, Tl2Protocol, Tl2Tx};

@@ -229,6 +229,24 @@ fn malloc_free_lifecycle() {
 }
 
 #[test]
+fn limbo_stays_bounded_without_explicit_reclaim() {
+    // The run loop reclaims every 1024 commits per thread, so committed
+    // frees cannot pile up between `reclaim_now` calls.
+    let tm = Tl2::with_defaults();
+    let holder = WordBlock::new(1);
+    for _ in 0..10_000 {
+        tm.run(TxKind::ReadWrite, |tx| {
+            let p = tx.malloc(2)?;
+            unsafe { tx.store_word(holder.as_ptr(), p as usize) }
+        });
+        let p = holder.read(0) as *mut usize;
+        tm.run(TxKind::ReadWrite, |tx| unsafe { tx.free(p, 2) });
+    }
+    let pending = tm.stats().limbo_pending;
+    assert!(pending < 1024, "{pending} frees pending in limbo");
+}
+
+#[test]
 fn read_only_stats_and_no_writes() {
     let tm = tl2();
     let cell = WordBlock::new(1);
