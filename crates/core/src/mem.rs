@@ -11,8 +11,79 @@
 //! epoch-based-reclamation substrate the C implementation leaves to the
 //! application (and later versions grew as `epoch-gc`).
 
+use crate::stats::ThreadStats;
 use parking_lot::Mutex;
-use stm_api::mem::dealloc_words;
+use stm_api::mem::{alloc_words, dealloc_words};
+
+/// One thread's memory logs for its current attempt, owned by the
+/// runtime, recycled across attempts and empty between them.
+#[derive(Debug, Default)]
+pub struct AttemptMem {
+    /// Blocks allocated by this attempt: `(ptr, words)`.
+    alloc_log: Vec<(usize, usize)>,
+    /// Blocks freed by this attempt (deferred to commit).
+    free_log: Vec<(usize, usize)>,
+    /// Blocks both allocated *and* freed by this attempt: on commit they
+    /// ride the free log into limbo; on abort they are reclaimed here
+    /// (the free log is discarded).
+    alloc_freed: Vec<(usize, usize)>,
+    /// The commit's `(addr, value)` write set for the WAL publish.
+    pub(crate) wal_scratch: Vec<(usize, usize)>,
+}
+
+impl AttemptMem {
+    /// Allocate `words` words for the attempt; an abort reclaims them.
+    pub fn malloc(&mut self, words: usize) -> *mut usize {
+        let ptr = alloc_words(words);
+        self.alloc_log.push((ptr as usize, words));
+        ptr
+    }
+
+    /// Log a free of `(ptr, words)`, deferred to commit. The caller has
+    /// already acquired every covering lock.
+    pub(crate) fn free(&mut self, ptr: *mut usize, words: usize) {
+        // A block both allocated and freed by this attempt must be
+        // reclaimed exactly once whichever way the attempt ends: move it
+        // from the alloc log to `alloc_freed` (abort reclaims that) and
+        // still ride the free log into limbo on commit.
+        if let Some(pos) = self.alloc_log.iter().position(|&(p, _)| p == ptr as usize) {
+            let entry = self.alloc_log.swap_remove(pos);
+            self.alloc_freed.push(entry);
+        }
+        self.free_log.push((ptr as usize, words));
+    }
+
+    /// True when the attempt neither allocated nor freed anything.
+    #[inline(always)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.alloc_log.is_empty() && self.free_log.is_empty() && self.alloc_freed.is_empty()
+    }
+
+    /// End the attempt and charge its allocations and frees to `stats`.
+    /// Committed at `stamp` (`Some`), its allocations are published and
+    /// its frees enter limbo, including blocks it allocated itself.
+    /// Aborted, its allocations were never published and are reclaimed
+    /// now, including blocks it also freed; its frees never happened.
+    #[cold]
+    pub(crate) fn finish(&mut self, stats: &ThreadStats, committed: Option<(&Limbo, u64)>) {
+        let allocs = self.alloc_log.len() + self.alloc_freed.len();
+        stats.add_mem(allocs as u64, self.free_log.len() as u64);
+        if let Some((limbo, stamp)) = committed {
+            if !self.free_log.is_empty() {
+                limbo.push(self.free_log.drain(..), stamp);
+            }
+        } else {
+            for &(ptr, words) in self.alloc_log.iter().chain(&self.alloc_freed) {
+                // SAFETY: allocated by this attempt via `alloc_words` and
+                // never published.
+                unsafe { dealloc_words(ptr as *mut usize, words) };
+            }
+        }
+        self.alloc_log.clear();
+        self.free_log.clear();
+        self.alloc_freed.clear();
+    }
+}
 
 /// A committed free awaiting safe reclamation.
 #[derive(Debug, Clone, Copy)]
@@ -96,7 +167,6 @@ impl Drop for Limbo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stm_api::mem::alloc_words;
 
     fn block(words: usize) -> (usize, usize) {
         (alloc_words(words) as usize, words)

@@ -1,5 +1,6 @@
 //! The runtime both locking protocols run on: one retry loop, one
-//! thread registry, one clock, quiesce gate and limbo list.
+//! attempt lifecycle, one thread registry, one clock, quiesce gate and
+//! limbo list.
 //!
 //! TinySTM (encounter-time locking with LSA snapshot extension,
 //! [`crate::stm::Lsa`]) and its TL2 baseline (commit-time locking with
@@ -8,10 +9,12 @@
 //! roll-over and reconfiguration, and deferred frees. [`Runtime<P>`]
 //! owns that design once: the registry and per-thread state, the lock
 //! [`Mapping`] (TL2 uses it with the hierarchy disabled), the run loop
-//! with its telemetry, recording and WAL plumbing, roll-over,
-//! reconfiguration, limbo reclamation and statistics. A [`Protocol`]
-//! supplies only what differs: its configuration (and the mapping that
-//! asks for), its per-thread context and its transaction attempt.
+//! with its telemetry and recording, the attempt's commit and rollback
+//! skeletons with their WAL publish and memory logs ([`AttemptMem`]),
+//! roll-over, reconfiguration, limbo reclamation and statistics. A
+//! [`Protocol`] supplies only the locking policy: its configuration
+//! (and the mapping that asks for), its per-thread context, its reads
+//! and writes, and the seven steps the skeletons call.
 //! Everything is generic, so each protocol gets its own monomorphised
 //! copy of the loop and the hot path has no dynamic dispatch.
 //!
@@ -47,7 +50,7 @@ use crate::clock::GlobalClock;
 use crate::config::{CmPolicy, ConfigError, StmConfig};
 use crate::fault::{FaultInjection, FaultSwitch};
 use crate::mapping::Mapping;
-use crate::mem::Limbo;
+use crate::mem::{AttemptMem, Limbo};
 use crate::quiesce::Quiesce;
 use crate::stats::{StatsSnapshot, ThreadStats};
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -67,9 +70,8 @@ const RECLAIM_PERIOD: u64 = 1024;
 const DELAY_MAX_SPINS: u32 = 1 << 14;
 
 /// One locking protocol on the shared runtime: what TinySTM-LSA and TL2
-/// do differently. The runtime calls these from its run loop,
-/// roll-over and reconfiguration fences; nothing here is dispatched
-/// dynamically.
+/// do differently, which is when locks are taken and how writes reach
+/// memory. Nothing here is dispatched dynamically.
 pub trait Protocol: Sized + Send + Sync + 'static {
     /// The protocol's configuration.
     type Config: Copy + Default + std::fmt::Debug + Send + Sync + 'static;
@@ -90,15 +92,32 @@ pub trait Protocol: Sized + Send + Sync + 'static {
 
     /// Start an attempt with snapshot time `now`.
     fn begin<'a>(attempt: Attempt<'a, Self>, kind: TxKind, now: u64) -> Self::Tx<'a>;
-    /// Commit the attempt, or roll it back fully and say why not.
-    fn commit(tx: Self::Tx<'_>) -> Result<(), AbortReason>;
-    /// Roll back an attempt whose body returned an abort.
-    fn rollback(tx: &mut Self::Tx<'_>, reason: AbortReason);
+    /// The memory logs [`Protocol::begin`] handed the attempt.
+    fn mem<'t>(tx: &'t mut Self::Tx<'_>) -> &'t mut AttemptMem;
+    /// Whether the attempt wrote anything (else it commits read-only).
+    fn has_writes(tx: &Self::Tx<'_>) -> bool;
+    /// Take the write locks the attempt does not hold yet, or say why
+    /// not.
+    fn acquire(tx: &mut Self::Tx<'_>) -> Result<(), AbortReason>;
+    /// The latest time the reads are known consistent at: a commit
+    /// drawing the next timestamp needs no validation.
+    fn snapshot_bound(tx: &Self::Tx<'_>) -> u64;
+    /// Validate the read set at commit time.
+    fn validate(tx: &mut Self::Tx<'_>) -> bool;
+    /// Append the `(addr, value)` pairs the commit writes; an address
+    /// may repeat, but every pair of it carries its final value.
+    fn write_set(tx: &Self::Tx<'_>, out: &mut Vec<(usize, usize)>);
+    /// Point of no return: make the writes visible at version `wv` and
+    /// release every lock.
+    fn publish(tx: &mut Self::Tx<'_>, wv: u64);
+    /// Undo the attempt's memory effect and release every lock it holds
+    /// with the word it replaced.
+    fn release(tx: &mut Self::Tx<'_>);
 }
 
 /// What the runtime hands [`Protocol::begin`] for one attempt.
 pub struct Attempt<'a, P: Protocol> {
-    /// Instance-wide state: clock, limbo, WAL epoch, fault switch.
+    /// Instance-wide state: clock and fault switch.
     pub shared: &'a Shared<P>,
     /// The mapping pinned for this attempt (site S1).
     pub map: &'a Mapping,
@@ -107,8 +126,32 @@ pub struct Attempt<'a, P: Protocol> {
     pub ts: &'a ThreadState<P>,
     /// This thread's protocol context.
     pub ctx: &'a mut P::Ctx,
+    /// This thread's memory logs, empty at begin.
+    pub mem: &'a mut AttemptMem,
     /// Recording session and WAL sink for this attempt.
     pub hooks: Hooks<'a>,
+}
+
+/// `TmTx::free` for every protocol. A free is an update: rewriting each
+/// word with its current value takes the covering locks, so conflicts
+/// are detected; the block itself leaves at commit, through limbo.
+///
+/// # Safety
+/// As `TmTx::free`: `ptr`/`words` describe a whole live block allocated
+/// through the same instance, not freed since.
+#[inline(always)]
+pub unsafe fn free<P: Protocol>(tx: &mut P::Tx<'_>, ptr: *mut usize, words: usize) -> TxResult<()> {
+    assert!(
+        matches!(tx.kind(), TxKind::ReadWrite),
+        "free inside a read-only transaction"
+    );
+    for i in 0..words {
+        let a = ptr.add(i);
+        let v = tx.load_word(a)?;
+        tx.store_word(a, v)?;
+    }
+    P::mem(tx).free(ptr, words);
+    Ok(())
 }
 
 /// What an attempt publishes through: this thread's recording session
@@ -123,12 +166,6 @@ pub struct Hooks<'a> {
 }
 
 impl<'a> Hooks<'a> {
-    /// The WAL sink the commit publishes through, if attached.
-    #[inline(always)]
-    pub fn wal(&self) -> Option<&'a dyn WalSink> {
-        self.wal
-    }
-
     /// Record a read of `stripe` that returned a value at `version`.
     #[inline(always)]
     pub fn record_read(&self, _stripe: usize, _version: u64) {
@@ -197,6 +234,8 @@ pub struct ThreadState<P: Protocol> {
     commits_since_reclaim: Cell<u64>,
     /// The protocol's transactional state.
     ctx: UnsafeCell<P::Ctx>,
+    /// The current attempt's memory logs.
+    mem: UnsafeCell<AttemptMem>,
     /// Cached recording session.
     #[cfg(feature = "record")]
     trace: UnsafeCell<crate::trace::TraceLocal>,
@@ -205,8 +244,9 @@ pub struct ThreadState<P: Protocol> {
 }
 
 // SAFETY: foreign threads touch only `stats` and `active_start`, which
-// are atomics. Every other field (the cells, the protocol context and
-// the trace/WAL caches) is read and written only by the owning thread:
+// are atomics. Every other field (the cells, the protocol context, the
+// memory logs and the trace/WAL caches) is read and written only by the
+// owning thread:
 // the thread-local registry hands each thread its own state. Dropping
 // on another thread (the last `Arc` may go there) frees only owned
 // buffers; raw addresses a context holds are never dereferenced on
@@ -224,6 +264,7 @@ impl<P: Protocol> ThreadState<P> {
             rng: Cell::new(seed | 1),
             commits_since_reclaim: Cell::new(0),
             ctx: UnsafeCell::new(P::Ctx::default()),
+            mem: UnsafeCell::new(AttemptMem::default()),
             #[cfg(feature = "record")]
             trace: UnsafeCell::new(crate::trace::TraceLocal::new()),
             wal: UnsafeCell::new(crate::wal::WalLocal::new()),
@@ -278,19 +319,6 @@ impl<P: Protocol> Shared<P> {
     #[inline(always)]
     pub fn clock(&self) -> &GlobalClock {
         &self.clock
-    }
-
-    /// The limbo list committed frees enter, stamped with their commit
-    /// timestamp.
-    #[inline(always)]
-    pub fn limbo(&self) -> &Limbo {
-        &self.limbo
-    }
-
-    /// Current durability epoch (read inside the quiesce gate only).
-    #[inline(always)]
-    pub fn wal_epoch(&self) -> u64 {
-        self.wal.epoch()
     }
 
     /// Whether `fault` is the active protocol mutation. Always false
@@ -548,21 +576,30 @@ impl<P: Protocol> Runtime<P> {
                 wal: wal.map(|s| &**s),
             };
             let outcome: Result<R, AbortReason> = {
-                // SAFETY: ctx belongs to this thread exclusively, and
-                // the previous attempt's borrow ended with its `Tx`.
-                let ctx = unsafe { &mut *ts.ctx.get() };
+                // SAFETY: ctx and mem belong to this thread exclusively,
+                // and the previous attempt's borrows ended with its
+                // `Live`.
+                let (ctx, mem) = unsafe { (&mut *ts.ctx.get(), &mut *ts.mem.get()) };
                 let attempt = Attempt {
                     shared: inner,
                     map,
                     ts,
                     ctx,
+                    mem,
                     hooks,
                 };
-                let mut tx = P::begin(attempt, kind, now);
-                match body(&mut tx) {
-                    Ok(value) => P::commit(tx).map(|()| value),
+                let mut live = Live {
+                    reads_at_begin: ts.stats.reads.load(Ordering::Relaxed),
+                    tx: P::begin(attempt, kind, now),
+                    shared: inner,
+                    ts,
+                    hooks,
+                    finished: false,
+                };
+                match body(&mut live.tx) {
+                    Ok(value) => live.commit().map(|()| value),
                     Err(Abort(reason)) => {
-                        P::rollback(&mut tx, reason);
+                        live.rollback(reason);
                         Err(reason)
                     }
                 }
@@ -852,6 +889,134 @@ impl<P: Protocol> Runtime<P> {
     /// roll-over — every fence that renumbers commit timestamps).
     pub fn wal_epoch(&self) -> u64 {
         self.inner.wal.epoch()
+    }
+}
+
+/// One attempt as the run loop drives it. Dropped before commit or
+/// rollback ran (the body panicked), it rolls back, so a panicking
+/// closure never leaves locks held.
+struct Live<'a, P: Protocol> {
+    tx: P::Tx<'a>,
+    shared: &'a Shared<P>,
+    ts: &'a ThreadState<P>,
+    hooks: Hooks<'a>,
+    /// `stats.reads` at begin: an abort charges the difference as wasted.
+    reads_at_begin: u64,
+    finished: bool,
+}
+
+impl<P: Protocol> Live<'_, P> {
+    /// Commit the attempt. On success its writes are visible with a
+    /// unique commit timestamp; on failure it is fully rolled back and
+    /// the reason says whether the run loop retries.
+    #[inline(always)]
+    fn commit(&mut self) -> Result<(), AbortReason> {
+        let version = if P::has_writes(&self.tx) {
+            Some(self.commit_writes()?)
+        } else {
+            // Read-only commit (by kind, or an update transaction that
+            // never wrote): the incrementally-validated snapshot is
+            // consistent, nothing to do — the paper's read-only fast
+            // path.
+            if matches!(self.tx.kind(), TxKind::ReadOnly) {
+                self.ts.stats.bump_ro_commit();
+            }
+            None
+        };
+        let tx = &mut self.tx;
+        // Committed frees enter limbo stamped with the commit time.
+        if !P::mem(tx).is_empty() {
+            let stamp = version.unwrap_or_else(|| P::snapshot_bound(tx));
+            P::mem(tx).finish(&self.ts.stats, Some((&self.shared.limbo, stamp)));
+        }
+        self.ts.stats.bump_commit();
+        self.hooks.record_commit(version);
+        self.finished = true;
+        Ok(())
+    }
+
+    /// An update commit up to its point of no return: lock, draw the
+    /// commit timestamp, validate, log, then publish the writes at it.
+    #[inline(always)]
+    fn commit_writes(&mut self) -> Result<u64, AbortReason> {
+        let (shared, stats) = (self.shared, &self.ts.stats);
+        let tx = &mut self.tx;
+        if let Err(reason) = P::acquire(tx) {
+            return Err(self.abort(reason));
+        }
+        let Ok(wv) = shared.clock.increment() else {
+            return Err(self.abort(AbortReason::ClockOverflow));
+        };
+        // Foreign commit timestamps consumed between the snapshot bound
+        // and our own increment: the steps a CAS-from-snapshot
+        // timestamp acquisition would retry over.
+        let bound = P::snapshot_bound(tx);
+        let clock_lag = (wv - 1).saturating_sub(bound);
+        if clock_lag > 0 {
+            stats.add_clock_conflicts(clock_lag);
+        }
+        // Validation can be skipped when no transaction committed since
+        // the snapshot bound (commit time adjacent to it).
+        if wv == bound + 1 {
+            stats.bump_commit_validation_skip();
+        } else if !shared.fault_active(FaultInjection::SkipCommitValidation) && !P::validate(tx) {
+            return Err(self.abort(AbortReason::ValidationFailed));
+        }
+        if let Some(sink) = self.hooks.wal {
+            if !self.publish_wal(sink, wv) {
+                // The record is durably absent; the commit must not
+                // happen. Roll back cleanly and let the run loop
+                // surface the failure — never retry.
+                return Err(self.abort(AbortReason::WalFailed));
+            }
+        }
+        P::publish(&mut self.tx, wv);
+        Ok(wv)
+    }
+
+    /// The WAL publish, after validation and before any lock release: a
+    /// conflicting later commit takes our stripes only after we release
+    /// them, so conflicting records enter the sink in commit order and
+    /// every log prefix is conflict-closed (invariant M1.4). It precedes
+    /// [`Protocol::publish`], so a failed publish aborts with no memory
+    /// effect once [`Protocol::release`] has run.
+    fn publish_wal(&mut self, sink: &dyn WalSink, wv: u64) -> bool {
+        let mut writes = std::mem::take(&mut P::mem(&mut self.tx).wal_scratch);
+        writes.clear();
+        P::write_set(&self.tx, &mut writes);
+        writes.sort_unstable_by_key(|&(addr, _)| addr);
+        writes.dedup_by_key(|&mut (addr, _)| addr);
+        let published = sink.publish(self.shared.wal.epoch(), wv, &writes).is_ok();
+        P::mem(&mut self.tx).wal_scratch = writes;
+        published
+    }
+
+    #[cold]
+    fn abort(&mut self, reason: AbortReason) -> AbortReason {
+        self.rollback(reason);
+        reason
+    }
+
+    /// Undo the attempt, reclaim its allocations and charge the abort.
+    fn rollback(&mut self, reason: AbortReason) {
+        let stats = &self.ts.stats;
+        P::release(&mut self.tx);
+        let mem = P::mem(&mut self.tx);
+        if !mem.is_empty() {
+            mem.finish(stats, None);
+        }
+        stats.add_wasted_reads(stats.reads.load(Ordering::Relaxed) - self.reads_at_begin);
+        stats.bump_abort(reason);
+        self.hooks.record_abort();
+        self.finished = true;
+    }
+}
+
+impl<P: Protocol> Drop for Live<'_, P> {
+    fn drop(&mut self) {
+        if !self.finished {
+            self.rollback(AbortReason::Explicit);
+        }
     }
 }
 

@@ -74,8 +74,13 @@ impl ThreadStats {
         bump_extend_failure => extend_failures,
         bump_validation => validations,
         bump_commit_validation_skip => commit_validation_skips,
-        bump_alloc => allocs,
-        bump_free => frees,
+    }
+
+    /// Charge an ended attempt's allocations and frees.
+    #[inline]
+    pub fn add_mem(&self, allocs: u64, frees: u64) {
+        self.allocs.fetch_add(allocs, Ordering::Relaxed);
+        self.frees.fetch_add(frees, Ordering::Relaxed);
     }
 
     /// Record an abort with its reason.

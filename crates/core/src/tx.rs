@@ -4,8 +4,10 @@
 //!
 //! One [`Tx`] exists per attempt, created by [`crate::Stm::run`]'s retry
 //! loop. It borrows the per-thread `TxCtx` (read set, write log,
-//! hierarchy masks — all recycled across attempts) and the current
-//! [`Mapping`] (pinned by the quiesce gate for the attempt's duration).
+//! hierarchy masks — all recycled across attempts), the runtime's
+//! memory logs, and the current [`Mapping`] (pinned by the quiesce gate
+//! for the attempt's duration). The runtime drives its commit and
+//! rollback; this module supplies the locking steps they call.
 //!
 //! ## Memory ordering (DESIGN.md §3, sites R1–R5, W1–W6, F1)
 //!
@@ -53,10 +55,9 @@
 
 use crate::config::AccessStrategy;
 use crate::fault::FaultInjection;
-use crate::lockword::{
-    is_owned, make_owned, make_version, owner_ptr, version_of, wt_bump_incarnation, wt_make,
-};
+use crate::lockword::{is_owned, make_owned, owner_ptr, version_of};
 use crate::mapping::Mapping;
+use crate::mem::AttemptMem;
 use crate::readset::ReadSet;
 use crate::runtime::{Hooks, Shared, ThreadState};
 use crate::stm::Lsa;
@@ -66,7 +67,7 @@ use stm_api::{atomic_view, Abort, AbortReason, TmTx, TxKind, TxResult};
 
 /// Bound on l1/value/l2 re-read loops before declaring the read
 /// inconsistent (forward-progress guard; the paper retries indefinitely).
-const MAX_READ_RETRIES: u32 = 64;
+pub const MAX_READ_RETRIES: u32 = 64;
 
 /// Per-thread transactional state, recycled across attempts (the
 /// [`crate::runtime::Protocol::Ctx`] of [`Lsa`]).
@@ -83,21 +84,6 @@ pub struct TxCtx {
     pub(crate) wlog: WriteLog,
     /// Hierarchy masks and saved counters.
     pub(crate) hier: crate::hierarchy::TxHier,
-    /// Blocks allocated by this attempt: `(ptr, words)`.
-    pub(crate) alloc_log: Vec<(usize, usize)>,
-    /// Blocks freed by this attempt (deferred to commit).
-    pub(crate) free_log: Vec<(usize, usize)>,
-    /// Blocks both allocated *and* freed by this attempt: on commit they
-    /// ride the free log into limbo; on abort they are reclaimed here
-    /// (the free log is discarded).
-    pub(crate) alloc_freed: Vec<(usize, usize)>,
-    /// Reads performed by the current attempt (flushed to
-    /// `wasted_reads` if the attempt aborts).
-    pub(crate) attempt_reads: u64,
-    /// Scratch buffer for the commit-path WAL publish: the attempt's
-    /// `(addr, value)` write set, deduplicated and address-sorted.
-    /// Recycled across attempts like the read set and write log.
-    pub(crate) wal_scratch: Vec<(usize, usize)>,
 }
 
 impl Default for TxCtx {
@@ -109,11 +95,6 @@ impl Default for TxCtx {
             rset: ReadSet::new(1),
             wlog: WriteLog::new(),
             hier: crate::hierarchy::TxHier::new(1),
-            alloc_log: Vec::new(),
-            free_log: Vec::new(),
-            alloc_freed: Vec::new(),
-            attempt_reads: 0,
-            wal_scratch: Vec::new(),
         }
     }
 }
@@ -128,10 +109,6 @@ impl TxCtx {
         self.rset.reset(h);
         self.wlog.reset();
         self.hier.reset(h);
-        self.alloc_log.clear();
-        self.free_log.clear();
-        self.alloc_freed.clear();
-        self.attempt_reads = 0;
     }
 }
 
@@ -142,9 +119,7 @@ pub struct Tx<'a> {
     pub(crate) map: &'a Mapping,
     pub(crate) ts: &'a ThreadState<Lsa>,
     pub(crate) ctx: &'a mut TxCtx,
-    /// Set once commit/rollback ran; `Drop` rolls back otherwise
-    /// (panic safety: a panicking closure must not leave locks held).
-    pub(crate) finished: bool,
+    pub(crate) mem: &'a mut AttemptMem,
     /// Cached per-attempt invariants (hot-path loads hoisted out).
     pub(crate) strategy: AccessStrategy,
     pub(crate) hier_on: bool,
@@ -153,12 +128,13 @@ pub struct Tx<'a> {
     pub(crate) hooks: Hooks<'a>,
 }
 
-impl<'a> Drop for Tx<'a> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.rollback(AbortReason::Explicit);
-        }
-    }
+#[cfg(test)]
+thread_local! {
+    /// Runs once, on this thread, at the top of the next
+    /// `extend_for_read`: where a commit can slip in before the
+    /// extension samples the clock.
+    static BEFORE_EXTEND_FOR_READ: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
 }
 
 impl<'a> Tx<'a> {
@@ -194,10 +170,9 @@ impl<'a> Tx<'a> {
         self.ctx.wlog.n_records()
     }
 
+    /// The error value only: the runtime's rollback does the rest.
     #[cold]
     fn abort(&mut self, reason: AbortReason) -> Abort {
-        // Bookkeeping happens in rollback (called by the run loop /
-        // Drop); here we only materialize the error value.
         Abort(reason)
     }
 
@@ -293,6 +268,10 @@ impl<'a> Tx<'a> {
     #[cold]
     #[inline(never)]
     fn extend_for_read(&mut self, lock: &AtomicUsize, l1: usize) -> TxResult<bool> {
+        #[cfg(test)]
+        if let Some(hook) = BEFORE_EXTEND_FOR_READ.take() {
+            hook();
+        }
         self.extend()?;
         Ok(lock.load(Ordering::Acquire) == l1)
     }
@@ -301,7 +280,6 @@ impl<'a> Tx<'a> {
     /// paper's "Reads and Writes".
     pub(crate) unsafe fn load_impl(&mut self, addr: *const usize) -> TxResult<usize> {
         self.ts.stats.bump_read();
-        self.ctx.attempt_reads += 1;
         let idx = self.map.lock_index(addr as usize);
         let lock = self.map.lock(idx);
         let update = matches!(self.ctx.kind, TxKind::ReadWrite);
@@ -471,213 +449,6 @@ impl<'a> Tx<'a> {
             return Ok(());
         }
     }
-
-    /// Commit the attempt. On success the transaction's writes are
-    /// visible with a unique commit timestamp; on failure the attempt is
-    /// fully rolled back and the caller retries.
-    pub(crate) fn commit(mut self) -> Result<(), AbortReason> {
-        // Read-only commit (by kind, or an update transaction that never
-        // wrote): the incrementally-validated snapshot is consistent,
-        // nothing to do — the paper's read-only fast path.
-        if self.ctx.wlog.n_records() == 0 {
-            debug_assert!(
-                self.ctx.free_log.is_empty(),
-                "free without lock acquisition"
-            );
-            self.ts.stats.bump_commit();
-            if matches!(self.ctx.kind, TxKind::ReadOnly) {
-                self.ts.stats.bump_ro_commit();
-            }
-            self.ctx.alloc_log.clear();
-            self.hooks.record_commit(None);
-            self.finished = true;
-            return Ok(());
-        }
-
-        let wv = match self.inner.clock().increment() {
-            Ok(v) => v,
-            Err(_) => {
-                let reason = AbortReason::ClockOverflow;
-                self.rollback(reason);
-                return Err(reason);
-            }
-        };
-        // Foreign commit timestamps consumed between our (last
-        // validated) snapshot bound and our own increment: the steps a
-        // CAS-from-snapshot timestamp acquisition would retry over.
-        let clock_lag = (wv - 1).saturating_sub(self.ctx.end);
-        if clock_lag > 0 {
-            self.ts.stats.add_clock_conflicts(clock_lag);
-        }
-
-        // Validation can be skipped when no transaction committed since
-        // our snapshot's upper bound (commit time adjacent to it).
-        if wv == self.ctx.end + 1 {
-            self.ts.stats.bump_commit_validation_skip();
-        } else if !self
-            .inner
-            .fault_active(FaultInjection::SkipCommitValidation)
-            && !self.validate()
-        {
-            let reason = AbortReason::ValidationFailed;
-            self.rollback(reason);
-            return Err(reason);
-        }
-
-        let strategy = self.strategy();
-        // WAL publish — inside the commit critical section: after the
-        // commit timestamp is drawn and validation has passed, before
-        // the lock releases. A conflicting later commit can only
-        // acquire our stripes after our release, so conflicting records
-        // enter the sink in commit-timestamp order and every log prefix
-        // is conflict-closed (the crash-consistency invariant M1.4).
-        //
-        // Publishing runs *before* the write-back loop below: a failed
-        // publish must abort with zero memory effect, and for
-        // write-back the buffered values are available without touching
-        // memory. Write-through already stored in place at encounter
-        // time; its failure path restores through the undo log.
-        if let Some(wal) = self.hooks.wal() {
-            let TxCtx {
-                wlog, wal_scratch, ..
-            } = &mut *self.ctx;
-            wal_scratch.clear();
-            match strategy {
-                AccessStrategy::WriteBack => {
-                    // Entry chains hold the buffered values, one entry
-                    // per written word (`add_entry` deduplicates).
-                    for rec in wlog.records() {
-                        // SAFETY: records/entries of the current attempt.
-                        unsafe {
-                            let mut e = (*rec).first_entry;
-                            while !e.is_null() {
-                                wal_scratch.push(((*e).addr as usize, (*e).value));
-                                e = (*e).next;
-                            }
-                        }
-                    }
-                }
-                AccessStrategy::WriteThrough => {
-                    // Memory already holds our values (encounter-time
-                    // in-place stores) and we still own every covering
-                    // lock, so a Relaxed read returns our own write.
-                    // The undo log may list an address more than once;
-                    // dedup after sorting (any survivor reads the same
-                    // current value).
-                    for u in wlog.undo.iter() {
-                        // SAFETY: addresses recorded by this attempt.
-                        let value = unsafe { atomic_view(u.addr).load(Ordering::Relaxed) };
-                        wal_scratch.push((u.addr as usize, value));
-                    }
-                }
-            }
-            wal_scratch.sort_unstable_by_key(|&(addr, _)| addr);
-            wal_scratch.dedup_by_key(|&mut (addr, _)| addr);
-            if wal
-                .publish(self.inner.wal_epoch(), wv, wal_scratch)
-                .is_err()
-            {
-                // The record is durably absent; the commit must not
-                // happen. Roll back cleanly (undo + lock release) and
-                // let the run loop surface the failure — never retry.
-                let reason = AbortReason::WalFailed;
-                self.rollback(reason);
-                return Err(reason);
-            }
-        }
-
-        // Point of no return: apply buffered writes (write-back), then
-        // release every lock with the new version.
-        if matches!(strategy, AccessStrategy::WriteBack) {
-            for rec in self.ctx.wlog.records() {
-                // SAFETY: records/entries of the current attempt.
-                unsafe {
-                    let mut e = (*rec).first_entry;
-                    while !e.is_null() {
-                        // Site W3 (module docs): write-back publication
-                        // — Release, for racing seqlock readers (F1).
-                        atomic_view((*e).addr).store((*e).value, Ordering::Release);
-                        e = (*e).next;
-                    }
-                }
-            }
-        }
-        let release_word = make_version(wv, strategy);
-        for rec in self.ctx.wlog.records() {
-            // SAFETY: we own every recorded lock.
-            let lock_idx = unsafe { (*rec).lock_idx };
-            // Site W4 (module docs): lock release — Release; R1 acquires
-            // the data stores above through this edge.
-            self.map
-                .lock(lock_idx)
-                .store(release_word, Ordering::Release);
-        }
-
-        // Committed frees enter limbo stamped with our commit time
-        // (including blocks allocated by this very attempt).
-        if !self.ctx.free_log.is_empty() {
-            self.inner.limbo().push(self.ctx.free_log.drain(..), wv);
-        }
-        self.ctx.alloc_log.clear();
-        self.ctx.alloc_freed.clear();
-        self.ts.stats.bump_commit();
-        self.hooks.record_commit(Some(wv));
-        self.finished = true;
-        Ok(())
-    }
-
-    /// Undo the attempt: restore memory (write-through), release locks,
-    /// reclaim this attempt's allocations.
-    pub(crate) fn rollback(&mut self, reason: AbortReason) {
-        if self.finished {
-            return;
-        }
-        let strategy = self.strategy();
-        if matches!(strategy, AccessStrategy::WriteThrough) {
-            // Restore in reverse so the oldest value wins on multi-writes.
-            for u in self.ctx.wlog.undo.iter().rev() {
-                // SAFETY: we still own every lock covering these words.
-                // Site W6 (module docs): restored-value publication —
-                // Release, for racing seqlock readers (F1).
-                unsafe { atomic_view(u.addr).store(u.old_value, Ordering::Release) };
-            }
-        }
-        for rec in self.ctx.wlog.records() {
-            // SAFETY: records of the current attempt; we own their locks.
-            let (prior, lock_idx) = unsafe { ((*rec).prior_word, (*rec).lock_idx) };
-            let release = match strategy {
-                AccessStrategy::WriteBack => prior,
-                AccessStrategy::WriteThrough => {
-                    // Bump the incarnation so concurrent readers that saw
-                    // our dirty value observe l1 != l2. On overflow,
-                    // fetch a fresh version from the clock (paper §3.1).
-                    match wt_bump_incarnation(prior) {
-                        Some(w) => w,
-                        None => wt_make(self.inner.clock().force_increment(), 0),
-                    }
-                }
-            };
-            // Site W5 (module docs): rollback lock release — Release
-            // (sequenced after the undo restores it covers).
-            self.map.lock(lock_idx).store(release, Ordering::Release);
-        }
-        // This attempt's allocations were never published (the attempt
-        // is dead); reclaim immediately — including blocks it also freed.
-        for (ptr, words) in self
-            .ctx
-            .alloc_log
-            .drain(..)
-            .chain(self.ctx.alloc_freed.drain(..))
-        {
-            // SAFETY: allocated by this attempt via alloc_words.
-            unsafe { stm_api::mem::dealloc_words(ptr as *mut usize, words) };
-        }
-        self.ctx.free_log.clear();
-        self.ts.stats.add_wasted_reads(self.ctx.attempt_reads);
-        self.ts.stats.bump_abort(reason);
-        self.hooks.record_abort();
-        self.finished = true;
-    }
 }
 
 impl<'a> TmTx for Tx<'a> {
@@ -690,44 +461,64 @@ impl<'a> TmTx for Tx<'a> {
     }
 
     fn malloc(&mut self, words: usize) -> TxResult<*mut usize> {
-        let ptr = stm_api::mem::alloc_words(words);
-        self.ctx.alloc_log.push((ptr as usize, words));
-        self.ts.stats.bump_alloc();
-        Ok(ptr)
+        Ok(self.mem.malloc(words))
     }
 
     unsafe fn free(&mut self, ptr: *mut usize, words: usize) -> TxResult<()> {
-        assert!(
-            matches!(self.ctx.kind, TxKind::ReadWrite),
-            "free inside a read-only transaction"
-        );
-        // A free is semantically an update: acquire every covering lock
-        // (by rewriting each word with its current value) so conflicting
-        // readers/writers are detected.
-        for i in 0..words {
-            let a = ptr.add(i);
-            let v = self.load_impl(a)?;
-            self.store_impl(a, v)?;
-        }
-        // A block both allocated and freed by this attempt must be
-        // reclaimed exactly once whichever way the attempt ends: move it
-        // from the alloc log to `alloc_freed` (abort reclaims that) and
-        // still ride the free log into limbo on commit.
-        if let Some(pos) = self
-            .ctx
-            .alloc_log
-            .iter()
-            .position(|&(p, _)| p == ptr as usize)
-        {
-            let entry = self.ctx.alloc_log.swap_remove(pos);
-            self.ctx.alloc_freed.push(entry);
-        }
-        self.ctx.free_log.push((ptr as usize, words));
-        self.ts.stats.bump_free();
-        Ok(())
+        crate::runtime::free::<Lsa>(self, ptr, words)
     }
 
     fn kind(&self) -> TxKind {
         self.ctx.kind
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BEFORE_EXTEND_FOR_READ;
+    use crate::{AccessStrategy, Stm, StmConfig, TCell, TxExt};
+    use std::sync::Arc;
+    use stm_api::TxKind;
+
+    /// The read that triggers an extension re-checks its lock after it:
+    /// a commit landing before the extension samples the clock moves
+    /// the word past the value the read found, while the extended
+    /// snapshot already covers the new version. Accepting the old value
+    /// loses that commit: the final count reads 2 instead of 3.
+    #[test]
+    fn extend_then_read_sees_a_commit_before_the_clock_sample() {
+        for strategy in [AccessStrategy::WriteBack, AccessStrategy::WriteThrough] {
+            extend_then_read_on(strategy);
+        }
+    }
+
+    fn extend_then_read_on(strategy: AccessStrategy) {
+        let stm = Stm::new(StmConfig::default().with_strategy(strategy)).unwrap();
+        let x = Arc::new(TCell::new(0usize));
+        let increment = {
+            let (stm, x) = (stm.clone(), Arc::clone(&x));
+            move || {
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        stm.run(TxKind::ReadWrite, |tx| {
+                            let v = tx.read(&*x)?;
+                            tx.write(&*x, v + 1)
+                        })
+                    });
+                })
+            }
+        };
+        let mut first = true;
+        stm.run(TxKind::ReadWrite, |tx| {
+            if std::mem::take(&mut first) {
+                // X's version moves past this attempt's snapshot, so
+                // the read below extends, and the hook commits again.
+                increment();
+                BEFORE_EXTEND_FOR_READ.set(Some(Box::new(increment.clone())));
+            }
+            let v = tx.read(&*x)?;
+            tx.write(&*x, v + 1)
+        });
+        assert_eq!(x.read_direct(), 3, "{strategy:?} lost an update");
     }
 }

@@ -264,9 +264,10 @@ impl WriteLog {
         (0..self.records.len()).map(move |i| self.records.get(i))
     }
 
-    /// Look up a record by index (0-based, acquisition order).
-    pub fn record(&self, i: usize) -> *const StripeRecord {
-        self.records.get(i)
+    /// Iterate over the buffered write-back entries of the current
+    /// attempt (each stripe chain's entries, every chain).
+    pub fn entries(&self) -> impl Iterator<Item = *const WordEntry> + '_ {
+        (0..self.entries.len()).map(move |i| self.entries.get(i))
     }
 
     /// Recycle the most recent record: its publishing CAS failed, so no

@@ -365,27 +365,6 @@ fn validation_skip_fraction_math() {
 }
 
 #[test]
-fn wasted_reads_accounting() {
-    // An aborted attempt's reads land in wasted_reads; committed reads
-    // do not.
-    let stm = Stm::with_defaults();
-    let c = TCell::new(0u64);
-    let mut first = true;
-    stm.run(TxKind::ReadWrite, |tx| {
-        for _ in 0..10 {
-            let _ = tx.read(&c)?;
-        }
-        if std::mem::take(&mut first) {
-            tx.retry()?;
-        }
-        tx.write(&c, 1)
-    });
-    let t = stm.stats().totals;
-    assert_eq!(t.reads, 20, "10 reads per attempt, 2 attempts");
-    assert_eq!(t.wasted_reads, 10, "only the aborted attempt's reads");
-}
-
-#[test]
 fn panicking_transaction_body_does_not_wedge_the_fence() {
     // The bench harness tolerates panicking workers (catch_unwind), so
     // an unwind through `Stm::run` must release the quiesce gate and

@@ -441,38 +441,6 @@ fn malloc_free_lifecycle_with_reclamation() {
 }
 
 #[test]
-fn abort_reclaims_allocation() {
-    let stm = Stm::with_defaults();
-    let mut first = true;
-    stm.run(TxKind::ReadWrite, |tx| {
-        let _p = tx.malloc(16)?;
-        if std::mem::take(&mut first) {
-            tx.retry()?;
-        }
-        Ok(())
-    });
-    // The aborted attempt's block was reclaimed inside rollback (no
-    // limbo involvement), the committed one leaks by design until freed.
-    assert_eq!(stm.stats().limbo_pending, 0);
-    assert_eq!(stm.stats().totals.allocs, 2);
-}
-
-#[test]
-fn alloc_then_free_same_transaction() {
-    both_strategies(|cfg| {
-        let stm = Stm::new(cfg).unwrap();
-        stm.run(TxKind::ReadWrite, |tx| {
-            let p = tx.malloc(2)?;
-            unsafe { tx.store_word(p, 7) }?;
-            unsafe { tx.free(p, 2) }
-        });
-        assert_eq!(stm.stats().limbo_pending, 1);
-        stm.reclaim_now();
-        assert_eq!(stm.stats().limbo_pending, 0);
-    });
-}
-
-#[test]
 fn conflicting_writers_record_aborts() {
     // Force write-write conflicts on a single cell with no backoff.
     let stm = Stm::new(StmConfig::default()).unwrap();

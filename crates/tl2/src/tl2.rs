@@ -12,12 +12,13 @@
 //!   lock-resident entry chains.
 //!
 //! TL2 runs on `tinystm::runtime` as a second [`Protocol`]: the run
-//! loop, thread registry, global clock, quiesce fence, limbo
-//! reclamation, statistics and the recording/WAL plumbing are the
-//! TinySTM core's, and so is the lock array (a `tinystm::mapping::Mapping`
-//! with the hierarchy disabled: the same per-stripe hash). This module
-//! supplies only the configuration, the per-thread context and the
-//! transaction attempt.
+//! loop, the attempt's commit and rollback skeletons (clock draw, WAL
+//! publish, memory logs, statistics), registry, clock, quiesce fence
+//! and limbo are the TinySTM core's, and so is the lock array (a
+//! `tinystm::mapping::Mapping` with the hierarchy disabled). This
+//! module supplies only the locking policy: configuration, per-thread
+//! context, reads, buffered writes, and the commit-time steps (lock
+//! every write, validate against `rv`, write back, release).
 //!
 //! ## Memory ordering
 //!
@@ -37,13 +38,11 @@ use crate::bloom::Bloom;
 use core::sync::atomic::Ordering;
 use stm_api::{atomic_view, Abort, AbortReason, TmTx, TxKind, TxResult};
 use tinystm::config::{CmPolicy, ConfigError, StmConfig};
-use tinystm::fault::FaultInjection;
 use tinystm::lockword::{is_owned, wb_make, wb_version};
 use tinystm::mapping::Mapping;
-use tinystm::runtime::{Attempt, Hooks, Protocol, Runtime, Shared, ThreadState};
-
-/// Bound on l1/value/l2 re-read loops, as in the TinySTM core.
-const MAX_READ_RETRIES: u32 = 64;
+use tinystm::mem::AttemptMem;
+use tinystm::runtime::{Attempt, Hooks, Protocol, Runtime, ThreadState};
+use tinystm::tx::MAX_READ_RETRIES;
 
 /// TL2 configuration. The reference implementation fixes its parameters
 /// at build time; they are constructor arguments here. [`Tl2::reconfigure`]
@@ -124,12 +123,6 @@ pub struct Tl2Ctx {
     bloom: Bloom,
     /// Locks acquired at commit: `(lock_idx, prior_word)`.
     acquired: Vec<(usize, usize)>,
-    alloc_log: Vec<(usize, usize)>,
-    free_log: Vec<(usize, usize)>,
-    alloc_freed: Vec<(usize, usize)>,
-    attempt_reads: u64,
-    /// Scratch buffer for the commit-path WAL publish (recycled).
-    wal_scratch: Vec<(usize, usize)>,
 }
 
 impl Tl2Ctx {
@@ -140,10 +133,6 @@ impl Tl2Ctx {
         self.wset.clear();
         self.bloom.clear();
         self.acquired.clear();
-        self.alloc_log.clear();
-        self.free_log.clear();
-        self.alloc_freed.clear();
-        self.attempt_reads = 0;
     }
 }
 
@@ -179,123 +168,32 @@ impl Protocol for Tl2Protocol {
     fn begin<'a>(attempt: Attempt<'a, Tl2Protocol>, kind: TxKind, rv: u64) -> Tl2Tx<'a> {
         attempt.ctx.begin(kind, rv);
         Tl2Tx {
-            inner: attempt.shared,
             map: attempt.map,
             ts: attempt.ts,
             ctx: attempt.ctx,
-            finished: false,
+            mem: attempt.mem,
             hooks: attempt.hooks,
         }
     }
 
     #[inline(always)]
-    fn commit(tx: Tl2Tx<'_>) -> Result<(), AbortReason> {
-        tx.commit()
+    fn mem<'t>(tx: &'t mut Tl2Tx<'_>) -> &'t mut AttemptMem {
+        tx.mem
     }
 
     #[inline(always)]
-    fn rollback(tx: &mut Tl2Tx<'_>, reason: AbortReason) {
-        tx.rollback(reason);
+    fn has_writes(tx: &Tl2Tx<'_>) -> bool {
+        !tx.ctx.wset.is_empty()
     }
-}
 
-/// An in-flight TL2 transaction attempt.
-pub struct Tl2Tx<'a> {
-    inner: &'a Shared<Tl2Protocol>,
-    /// Lock array + hash parameters pinned for this attempt (site S1).
-    map: &'a Mapping,
-    ts: &'a ThreadState<Tl2Protocol>,
-    ctx: &'a mut Tl2Ctx,
-    finished: bool,
-    /// Recording session and WAL sink for this attempt.
-    hooks: Hooks<'a>,
-}
-
-impl<'a> Drop for Tl2Tx<'a> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.rollback(AbortReason::Explicit);
-        }
-    }
-}
-
-impl<'a> Tl2Tx<'a> {
+    /// Commit-time locking: acquire every write lock, write-set order,
+    /// no waiting.
     #[inline(always)]
-    fn me(&self) -> usize {
-        self.ts as *const ThreadState<Tl2Protocol> as usize
-    }
-
-    /// Validate the read set against `rv` (commit time). Uses the saved
-    /// prior word for stripes we locked ourselves.
-    fn validate(&mut self) -> bool {
-        self.ts.stats.bump_validation();
-        let me = self.me();
-        let mut processed = 0u64;
-        let mut ok = true;
-        for &idx in &self.ctx.rset {
-            processed += 1;
-            // Site R5: Acquire (freshness via the clock edge C1/C2).
-            let w = self.map.lock(idx).load(Ordering::Acquire);
-            if is_owned(w) {
-                if w & !1 != me {
-                    ok = false;
-                    break;
-                }
-                // Locked by us at commit: check the pre-acquisition
-                // version (linear scan; `acquired` is small relative to
-                // the read set in the paper's workloads).
-                let prior = self
-                    .ctx
-                    .acquired
-                    .iter()
-                    .find(|&&(i, _)| i == idx)
-                    .map(|&(_, p)| p)
-                    .expect("owned-by-me lock missing from acquired list");
-                if wb_version(prior) > self.ctx.rv {
-                    ok = false;
-                    break;
-                }
-            } else if wb_version(w) > self.ctx.rv {
-                ok = false;
-                break;
-            }
-        }
-        self.ts.stats.add_validation_locks(processed, 0);
-        ok
-    }
-
-    fn release_acquired(&mut self) {
-        for &(idx, prior) in self.ctx.acquired.iter().rev() {
-            // Site W5: Release — restoring the prior word must re-grant
-            // readers the data visibility the original releaser
-            // published (we acquired it through the W1 CAS and pass it
-            // on here); no data writes of ours need covering, commit
-            // aborts before write-back.
-            self.map.lock(idx).store(prior, Ordering::Release);
-        }
-        self.ctx.acquired.clear();
-    }
-
-    /// Commit-time lock acquisition + validation + write-back.
-    fn commit(mut self) -> Result<(), AbortReason> {
-        if self.ctx.wset.is_empty() {
-            // Read-only fast path (by kind or by behaviour).
-            debug_assert!(self.ctx.free_log.is_empty());
-            self.ts.stats.bump_commit();
-            if matches!(self.ctx.kind, TxKind::ReadOnly) {
-                self.ts.stats.bump_ro_commit();
-            }
-            self.ctx.alloc_log.clear();
-            self.hooks.record_commit(None);
-            self.finished = true;
-            return Ok(());
-        }
-
-        // Acquire every write lock, write-set order, no waiting.
-        let me = self.me();
-        for i in 0..self.ctx.wset.len() {
-            let idx = self.ctx.wset[i].lock_idx;
-            let lock = self.map.lock(idx);
+    fn acquire(tx: &mut Tl2Tx<'_>) -> Result<(), AbortReason> {
+        let me = tx.me();
+        for i in 0..tx.ctx.wset.len() {
+            let idx = tx.ctx.wset[i].lock_idx;
+            let lock = tx.map.lock(idx);
             loop {
                 // Site R1: Acquire.
                 let w = lock.load(Ordering::Acquire);
@@ -303,10 +201,8 @@ impl<'a> Tl2Tx<'a> {
                     if w & !1 == me {
                         break; // already ours (earlier entry, same stripe)
                     }
-                    self.ts.set_contended(idx);
-                    let reason = AbortReason::WriteLocked;
-                    self.rollback(reason);
-                    return Err(reason);
+                    tx.ts.set_contended(idx);
+                    return Err(AbortReason::WriteLocked);
                 }
                 // Note: a version newer than rv is caught by read-set
                 // validation iff we also read the stripe; blind writes
@@ -319,117 +215,119 @@ impl<'a> Tl2Tx<'a> {
                     .compare_exchange(w, me | 1, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
                 {
-                    self.ctx.acquired.push((idx, w));
+                    tx.ctx.acquired.push((idx, w));
                     break;
                 }
             }
         }
+        Ok(())
+    }
 
-        let wv = match self.inner.clock().increment() {
-            Ok(v) => v,
-            Err(_) => {
-                let reason = AbortReason::ClockOverflow;
-                self.rollback(reason);
-                return Err(reason);
-            }
-        };
-        // Foreign commit timestamps consumed between our read version
-        // and our own increment: the steps a CAS-from-snapshot
-        // timestamp acquisition would retry over. TL2 never extends the
-        // snapshot, so the distance is measured from `rv` directly.
-        let clock_lag = (wv - 1).saturating_sub(self.ctx.rv);
-        if clock_lag > 0 {
-            self.ts.stats.add_clock_conflicts(clock_lag);
-        }
+    /// The start timestamp: TL2 never extends its snapshot.
+    #[inline(always)]
+    fn snapshot_bound(tx: &Tl2Tx<'_>) -> u64 {
+        tx.ctx.rv
+    }
 
-        if wv == self.ctx.rv + 1 {
-            self.ts.stats.bump_commit_validation_skip();
-        } else if !self
-            .inner
-            .fault_active(FaultInjection::SkipCommitValidation)
-            && !self.validate()
-        {
-            let reason = AbortReason::ValidationFailed;
-            self.rollback(reason);
-            return Err(reason);
-        }
-
-        // WAL publish — inside the commit critical section, before the
-        // lock releases, so conflicting records enter the sink in
-        // commit-timestamp order (see tinystm::tx for the argument) —
-        // and before the write-back, so a failed publish aborts with
-        // zero memory effect: the locks are released with their prior
-        // words and no reader ever saw the doomed values.
-        // The write set is already unique per address (store_word
-        // updates in place); sort for a canonical record.
-        if let Some(wal) = self.hooks.wal() {
-            let Tl2Ctx {
-                wset, wal_scratch, ..
-            } = &mut *self.ctx;
-            wal_scratch.clear();
-            wal_scratch.extend(wset.iter().map(|e| (e.addr as usize, e.value)));
-            wal_scratch.sort_unstable_by_key(|&(addr, _)| addr);
-            if wal
-                .publish(self.inner.wal_epoch(), wv, wal_scratch)
-                .is_err()
-            {
-                let reason = AbortReason::WalFailed;
-                self.rollback(reason);
-                return Err(reason);
+    /// Validate the read set against `rv`, using the saved prior word
+    /// for stripes we locked ourselves.
+    #[inline(always)]
+    fn validate(tx: &mut Tl2Tx<'_>) -> bool {
+        tx.ts.stats.bump_validation();
+        let me = tx.me();
+        let mut processed = 0u64;
+        let mut ok = true;
+        for &idx in &tx.ctx.rset {
+            processed += 1;
+            // Site R5: Acquire (freshness via the clock edge C1/C2).
+            let w = tx.map.lock(idx).load(Ordering::Acquire);
+            if is_owned(w) {
+                if w & !1 != me {
+                    ok = false;
+                    break;
+                }
+                // Locked by us at commit: check the pre-acquisition
+                // version (linear scan; `acquired` is small relative to
+                // the read set in the paper's workloads).
+                let prior = tx
+                    .ctx
+                    .acquired
+                    .iter()
+                    .find(|&&(i, _)| i == idx)
+                    .map(|&(_, p)| p)
+                    .expect("owned-by-me lock missing from acquired list");
+                if wb_version(prior) > tx.ctx.rv {
+                    ok = false;
+                    break;
+                }
+            } else if wb_version(w) > tx.ctx.rv {
+                ok = false;
+                break;
             }
         }
-        // Point of no return: write back, then release with the new
-        // version.
-        for e in &self.ctx.wset {
+        tx.ts.stats.add_validation_locks(processed, 0);
+        ok
+    }
+
+    /// The write set is already unique per address (`store_word`
+    /// updates in place).
+    #[inline(always)]
+    fn write_set(tx: &Tl2Tx<'_>, out: &mut Vec<(usize, usize)>) {
+        out.extend(tx.ctx.wset.iter().map(|e| (e.addr as usize, e.value)));
+    }
+
+    /// Write back, then release with version `wv`.
+    #[inline(always)]
+    fn publish(tx: &mut Tl2Tx<'_>, wv: u64) {
+        for e in &tx.ctx.wset {
             // SAFETY: caller contract of store_word.
             // Site W3: Release, for racing seqlock readers (F1).
             unsafe { atomic_view(e.addr).store(e.value, Ordering::Release) };
         }
-        for &(idx, _) in &self.ctx.acquired {
+        for &(idx, _) in &tx.ctx.acquired {
             // Site W4: lock release — Release covers the write-back.
-            self.map.lock(idx).store(wb_make(wv), Ordering::Release);
+            tx.map.lock(idx).store(wb_make(wv), Ordering::Release);
         }
-        self.ctx.acquired.clear();
-
-        if !self.ctx.free_log.is_empty() {
-            self.inner.limbo().push(self.ctx.free_log.drain(..), wv);
-        }
-        self.ctx.alloc_log.clear();
-        self.ctx.alloc_freed.clear();
-        self.ts.stats.bump_commit();
-        self.hooks.record_commit(Some(wv));
-        self.finished = true;
-        Ok(())
+        tx.ctx.acquired.clear();
     }
 
-    fn rollback(&mut self, reason: AbortReason) {
-        if self.finished {
-            return;
+    /// Locks are only held mid-commit; any left are released with their
+    /// prior words (no memory was written yet).
+    #[inline(always)]
+    fn release(tx: &mut Tl2Tx<'_>) {
+        for &(idx, prior) in tx.ctx.acquired.iter().rev() {
+            // Site W5: Release — restoring the prior word must re-grant
+            // readers the data visibility the original releaser
+            // published (we acquired it through the W1 CAS and pass it
+            // on here); no data writes of ours need covering, commit
+            // aborts before write-back.
+            tx.map.lock(idx).store(prior, Ordering::Release);
         }
-        // Locks are only held mid-commit; any left here are released
-        // with their prior words (no memory was written yet).
-        self.release_acquired();
-        for (ptr, words) in self
-            .ctx
-            .alloc_log
-            .drain(..)
-            .chain(self.ctx.alloc_freed.drain(..))
-        {
-            // SAFETY: allocated by this attempt, never published.
-            unsafe { stm_api::mem::dealloc_words(ptr as *mut usize, words) };
-        }
-        self.ctx.free_log.clear();
-        self.ts.stats.add_wasted_reads(self.ctx.attempt_reads);
-        self.ts.stats.bump_abort(reason);
-        self.hooks.record_abort();
-        self.finished = true;
+        tx.ctx.acquired.clear();
+    }
+}
+
+/// An in-flight TL2 transaction attempt.
+pub struct Tl2Tx<'a> {
+    /// Lock array + hash parameters pinned for this attempt (site S1).
+    map: &'a Mapping,
+    ts: &'a ThreadState<Tl2Protocol>,
+    ctx: &'a mut Tl2Ctx,
+    mem: &'a mut AttemptMem,
+    /// Recording session and WAL sink for this attempt.
+    hooks: Hooks<'a>,
+}
+
+impl<'a> Tl2Tx<'a> {
+    #[inline(always)]
+    fn me(&self) -> usize {
+        self.ts as *const ThreadState<Tl2Protocol> as usize
     }
 }
 
 impl<'a> TmTx for Tl2Tx<'a> {
     unsafe fn load_word(&mut self, addr: *const usize) -> TxResult<usize> {
         self.ts.stats.bump_read();
-        self.ctx.attempt_reads += 1;
         // Read-after-write: Bloom filter, then backward scan.
         if !self.ctx.wset.is_empty() && self.ctx.bloom.maybe_contains(addr as usize) {
             if let Some(e) = self
@@ -508,37 +406,11 @@ impl<'a> TmTx for Tl2Tx<'a> {
     }
 
     fn malloc(&mut self, words: usize) -> TxResult<*mut usize> {
-        let ptr = stm_api::mem::alloc_words(words);
-        self.ctx.alloc_log.push((ptr as usize, words));
-        self.ts.stats.bump_alloc();
-        Ok(ptr)
+        Ok(self.mem.malloc(words))
     }
 
     unsafe fn free(&mut self, ptr: *mut usize, words: usize) -> TxResult<()> {
-        assert!(
-            matches!(self.ctx.kind, TxKind::ReadWrite),
-            "free inside a read-only transaction"
-        );
-        // A free is an update: write back every word with its current
-        // value so the covering locks are acquired (and conflicts
-        // detected) at commit.
-        for i in 0..words {
-            let a = ptr.add(i);
-            let v = self.load_word(a)?;
-            self.store_word(a, v)?;
-        }
-        if let Some(pos) = self
-            .ctx
-            .alloc_log
-            .iter()
-            .position(|&(p, _)| p == ptr as usize)
-        {
-            let entry = self.ctx.alloc_log.swap_remove(pos);
-            self.ctx.alloc_freed.push(entry);
-        }
-        self.ctx.free_log.push((ptr as usize, words));
-        self.ts.stats.bump_free();
-        Ok(())
+        tinystm::runtime::free::<Tl2Protocol>(self, ptr, words)
     }
 
     fn kind(&self) -> TxKind {
@@ -561,14 +433,12 @@ mod tests {
         });
         ctx.bloom.insert(0x1000);
         ctx.acquired.push((0, 0));
-        ctx.attempt_reads = 9;
         ctx.begin(TxKind::ReadOnly, 42);
         assert_eq!(ctx.rv, 42);
         assert!(ctx.rset.is_empty());
         assert!(ctx.wset.is_empty());
         assert!(ctx.bloom.is_empty());
         assert!(ctx.acquired.is_empty());
-        assert_eq!(ctx.attempt_reads, 0);
         assert!(matches!(ctx.kind, TxKind::ReadOnly));
     }
 

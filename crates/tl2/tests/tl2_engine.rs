@@ -214,21 +214,6 @@ fn clock_rollover_under_load() {
 }
 
 #[test]
-fn malloc_free_lifecycle() {
-    let tm = tl2();
-    let holder = WordBlock::new(1);
-    tm.run(TxKind::ReadWrite, |tx| {
-        let p = tx.malloc(4)?;
-        unsafe { tx.store_word(p, 123) }?;
-        unsafe { tx.store_word(holder.as_ptr(), p as usize) }
-    });
-    let p = holder.read(0) as *mut usize;
-    tm.run(TxKind::ReadWrite, |tx| unsafe { tx.free(p, 4) });
-    assert_eq!(tm.stats().limbo_pending, 1);
-    assert_eq!(tm.reclaim_now(), 1);
-}
-
-#[test]
 fn limbo_stays_bounded_without_explicit_reclaim() {
     // The run loop reclaims every 1024 commits per thread, so committed
     // frees cannot pile up between `reclaim_now` calls.
