@@ -589,7 +589,7 @@ impl<P: Protocol> Runtime<P> {
                     hooks,
                 };
                 let mut live = Live {
-                    reads_at_begin: ts.stats.reads.load(Ordering::Relaxed),
+                    reads_at_begin: ts.stats.reads(),
                     tx: P::begin(attempt, kind, now),
                     shared: inner,
                     ts,
@@ -1005,7 +1005,7 @@ impl<P: Protocol> Live<'_, P> {
         if !mem.is_empty() {
             mem.finish(stats, None);
         }
-        stats.add_wasted_reads(stats.reads.load(Ordering::Relaxed) - self.reads_at_begin);
+        stats.add_wasted_reads(stats.reads() - self.reads_at_begin);
         stats.bump_abort(reason);
         self.hooks.record_abort();
         self.finished = true;

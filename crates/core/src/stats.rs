@@ -1,64 +1,80 @@
 //! Per-thread statistics counters.
 //!
-//! Each registered thread owns a `ThreadStats` that it updates with
-//! relaxed atomics (no cross-thread contention — only the aggregator
-//! reads them). Figure 12 of the paper plots two of these counters:
-//! read-set locks *processed* vs *skipped* during validation.
+//! Each registered thread owns a `ThreadStats` and is its only writer;
+//! every other thread only calls [`ThreadStats::snapshot`] (site T1,
+//! DESIGN.md §3.8). With one writer an increment needs no read-modify-
+//! write: a Relaxed load plus a Relaxed store of the sum loses nothing
+//! and keeps the transactional read and write paths free of locked
+//! instructions. The counters stay atomic, so a concurrent snapshot is
+//! race-free, never sees a torn value, and (by coherence) never sees a
+//! counter go backwards. Figure 12 of the paper plots two of these
+//! counters: read-set locks *processed* vs *skipped* during validation.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use stm_api::stats::BasicStats;
 use stm_api::AbortReason;
 
-/// Lively counters owned by one thread (one per thread × STM instance).
+/// Live counters owned by one thread (one per thread × STM instance).
+///
+/// Only the owner thread calls the `bump_*`/`add_*` methods: they are
+/// load-then-store, so two concurrent writers would lose increments
+/// (never memory safety). Anyone may call [`ThreadStats::snapshot`].
 #[derive(Debug, Default)]
 pub struct ThreadStats {
     /// Committed transactions.
-    pub commits: AtomicU64,
+    commits: AtomicU64,
     /// Committed read-only transactions (subset of `commits`).
-    pub ro_commits: AtomicU64,
+    ro_commits: AtomicU64,
     /// Aborted attempts.
-    pub aborts: AtomicU64,
+    aborts: AtomicU64,
     /// Aborts by [`AbortReason::index`].
-    pub aborts_by_reason: [AtomicU64; AbortReason::ALL.len()],
+    aborts_by_reason: [AtomicU64; AbortReason::ALL.len()],
     /// Transactional loads performed.
-    pub reads: AtomicU64,
+    reads: AtomicU64,
     /// Loads performed by attempts that later aborted — the "useless
     /// work" encounter-time locking avoids (Section 3).
-    pub wasted_reads: AtomicU64,
+    wasted_reads: AtomicU64,
     /// Transactional stores performed.
-    pub writes: AtomicU64,
+    writes: AtomicU64,
     /// Successful snapshot extensions.
-    pub extensions: AtomicU64,
+    extensions: AtomicU64,
     /// Failed snapshot extensions (each also aborts).
-    pub extend_failures: AtomicU64,
+    extend_failures: AtomicU64,
     /// Full read-set validations performed (extension + commit time).
-    pub validations: AtomicU64,
+    validations: AtomicU64,
     /// Read-set entries whose lock was checked during validation.
-    pub val_locks_processed: AtomicU64,
+    val_locks_processed: AtomicU64,
     /// Read-set entries skipped thanks to the hierarchical fast path.
-    pub val_locks_skipped: AtomicU64,
+    val_locks_skipped: AtomicU64,
     /// Commit-time validations skipped because `wv == end + 1`.
-    pub commit_validation_skips: AtomicU64,
+    commit_validation_skips: AtomicU64,
     /// Transactional allocations.
-    pub allocs: AtomicU64,
+    allocs: AtomicU64,
     /// Transactional frees (deferred to commit).
-    pub frees: AtomicU64,
+    frees: AtomicU64,
     /// Commit-timestamp acquisition conflicts: foreign commit
     /// timestamps that landed on the shared clock between this
     /// transaction's (last validated) snapshot and its own commit
     /// increment. Measures commit-clock *contention* independently of
     /// throughput — a partitioned (per-shard) clock drives it down even
     /// on a single core.
-    pub clock_conflicts: AtomicU64,
+    clock_conflicts: AtomicU64,
+}
+
+/// Add `n` to an owner-written counter: Relaxed load + Relaxed store
+/// (site T1), not a locked read-modify-write.
+#[inline(always)]
+fn add(c: &AtomicU64, n: u64) {
+    c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
 }
 
 macro_rules! bump {
     ($($name:ident => $field:ident),* $(,)?) => {
         $(
-            #[doc = concat!("Increment `", stringify!($field), "` by one.")]
+            #[doc = concat!("Increment `", stringify!($field), "` by one (owner thread only).")]
             #[inline]
             pub fn $name(&self) {
-                self.$field.fetch_add(1, Ordering::Relaxed);
+                add(&self.$field, 1);
             }
         )*
     };
@@ -76,38 +92,43 @@ impl ThreadStats {
         bump_commit_validation_skip => commit_validation_skips,
     }
 
+    /// Transactional loads performed so far.
+    #[inline]
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
+    }
+
     /// Charge an ended attempt's allocations and frees.
     #[inline]
     pub fn add_mem(&self, allocs: u64, frees: u64) {
-        self.allocs.fetch_add(allocs, Ordering::Relaxed);
-        self.frees.fetch_add(frees, Ordering::Relaxed);
+        add(&self.allocs, allocs);
+        add(&self.frees, frees);
     }
 
     /// Record an abort with its reason.
     #[inline]
     pub fn bump_abort(&self, reason: AbortReason) {
-        self.aborts.fetch_add(1, Ordering::Relaxed);
-        self.aborts_by_reason[reason.index()].fetch_add(1, Ordering::Relaxed);
+        add(&self.aborts, 1);
+        add(&self.aborts_by_reason[reason.index()], 1);
     }
 
     /// Charge `n` reads to the wasted-work account (attempt aborted).
     #[inline]
     pub fn add_wasted_reads(&self, n: u64) {
-        self.wasted_reads.fetch_add(n, Ordering::Relaxed);
+        add(&self.wasted_reads, n);
     }
 
     /// Charge `n` foreign commit timestamps to the clock-conflict tally.
     #[inline]
     pub fn add_clock_conflicts(&self, n: u64) {
-        self.clock_conflicts.fetch_add(n, Ordering::Relaxed);
+        add(&self.clock_conflicts, n);
     }
 
     /// Add to the validation processed/skipped tallies.
     #[inline]
     pub fn add_validation_locks(&self, processed: u64, skipped: u64) {
-        self.val_locks_processed
-            .fetch_add(processed, Ordering::Relaxed);
-        self.val_locks_skipped.fetch_add(skipped, Ordering::Relaxed);
+        add(&self.val_locks_processed, processed);
+        add(&self.val_locks_skipped, skipped);
     }
 
     /// Copy the counters into a plain snapshot.

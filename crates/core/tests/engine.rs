@@ -1,12 +1,19 @@
 //! Engine-level correctness tests for the TinySTM core: atomicity,
 //! opacity (consistent snapshots), both access strategies, hierarchical
-//! locking, roll-over and reconfiguration under load.
+//! locking, roll-over and reconfiguration under load. Every thread is
+//! joined against a deadline, so a wedge fails the test with a flight
+//! recorder dump instead of hanging the suite.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use stm_api::mem::WordBlock;
 use stm_api::{TmTx, TxKind};
+use stm_telemetry::flight;
 use tinystm::{AccessStrategy, CmPolicy, Stm, StmConfig, TCell, TxExt};
+
+#[path = "support/deadline.rs"]
+mod deadline;
+use deadline::join_by;
 
 fn config(strategy: AccessStrategy) -> StmConfig {
     StmConfig::default()
@@ -22,9 +29,15 @@ fn both_strategies(f: impl Fn(StmConfig)) {
     f(config(AccessStrategy::WriteThrough));
 }
 
+/// `test` on `cfg`'s access strategy, for deadline panics.
+fn what(test: &str, cfg: &StmConfig) -> String {
+    format!("{test} on {:?}", cfg.strategy)
+}
+
 #[test]
 fn lost_update_free_counter() {
     both_strategies(|cfg| {
+        let deadline = deadline::deadline();
         let stm = Stm::new(cfg).unwrap();
         let cell = Arc::new(WordBlock::new(1));
         let threads = 4;
@@ -44,9 +57,7 @@ fn lost_update_free_counter() {
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        join_by(handles, deadline, &what("lost_update_free_counter", &cfg));
         assert_eq!(cell.read(0), threads * per, "lost updates detected");
         let stats = stm.stats();
         assert_eq!(stats.totals.commits, (threads * per) as u64);
@@ -59,6 +70,8 @@ fn constant_sum_transfers_hold_under_concurrency() {
     // accounts keep the total constant; concurrent read-only audits must
     // always observe the full total.
     both_strategies(|cfg| {
+        let deadline = deadline::deadline();
+        let what = what("constant_sum_transfers_hold_under_concurrency", &cfg);
         let stm = Stm::new(cfg).unwrap();
         let n_accounts = 16;
         let initial = 1_000i64;
@@ -111,13 +124,9 @@ fn constant_sum_transfers_hold_under_concurrency() {
                 }
             }));
         }
-        for h in handles.drain(..3) {
-            h.join().unwrap();
-        }
+        join_by(handles.drain(..3).collect(), deadline, &what);
         stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
+        join_by(handles, deadline, &what);
         let final_sum: i64 = (0..n_accounts).map(|i| accounts[i].read_direct()).sum();
         assert_eq!(final_sum, total);
     });
@@ -128,6 +137,8 @@ fn update_transactions_see_consistent_pairs() {
     // Writers keep x == y; update transactions assert it inside the
     // transaction (must hold by opacity even before commit validation).
     both_strategies(|cfg| {
+        let deadline = deadline::deadline();
+        let what = what("update_transactions_see_consistent_pairs", &cfg);
         let stm = Stm::new(cfg).unwrap();
         let x = Arc::new(TCell::new(0u64));
         let y = Arc::new(TCell::new(0u64));
@@ -159,9 +170,9 @@ fn update_transactions_see_consistent_pairs() {
                 }
             })
         };
-        checker.join().unwrap();
+        join_by(vec![checker], deadline, &what);
         stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
+        join_by(vec![writer], deadline, &what);
     });
 }
 
@@ -234,6 +245,7 @@ fn write_through_abort_restores_values() {
 #[test]
 fn clock_rollover_under_load() {
     both_strategies(|cfg| {
+        let deadline = deadline::deadline();
         let stm = Stm::new(cfg.with_max_clock(512)).unwrap();
         let cell = Arc::new(WordBlock::new(1));
         let threads = 3;
@@ -253,9 +265,7 @@ fn clock_rollover_under_load() {
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        join_by(handles, deadline, &what("clock_rollover_under_load", &cfg));
         assert_eq!(cell.read(0), threads * per);
         let s = stm.stats();
         assert!(s.rollovers >= 1, "expected at least one roll-over");
@@ -266,6 +276,7 @@ fn clock_rollover_under_load() {
 #[test]
 fn reconfigure_under_load_preserves_invariants() {
     both_strategies(|cfg| {
+        let deadline = deadline::deadline();
         let stm = Stm::new(cfg).unwrap();
         let n = 8;
         let accounts: Arc<Vec<TCell<i64>>> = Arc::new((0..n).map(|_| TCell::new(100)).collect());
@@ -303,9 +314,8 @@ fn reconfigure_under_load_preserves_invariants() {
             assert_eq!(stm.config().locks_log2, locks);
         }
         stop.store(true, Ordering::Relaxed);
-        for w in workers {
-            w.join().unwrap();
-        }
+        let what = what("reconfigure_under_load_preserves_invariants", &cfg);
+        join_by(workers, deadline, &what);
         let sum: i64 = (0..n).map(|i| accounts[i].read_direct()).sum();
         assert_eq!(sum, 100 * n as i64, "reconfiguration corrupted state");
         assert_eq!(stm.stats().reconfigurations, 4);
@@ -317,6 +327,7 @@ fn hierarchical_locking_correct_under_concurrency() {
     // Same constant-sum workload with the hierarchy enabled: exercises
     // counter increments and the validation fast path.
     for strategy in [AccessStrategy::WriteBack, AccessStrategy::WriteThrough] {
+        let deadline = deadline::deadline();
         let cfg = config(strategy).with_hier_log2(4); // h = 16
         let stm = Stm::new(cfg).unwrap();
         let n = 32;
@@ -347,9 +358,8 @@ fn hierarchical_locking_correct_under_concurrency() {
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let what = what("hierarchical_locking_correct_under_concurrency", &cfg);
+        join_by(handles, deadline, &what);
         let sum: i64 = (0..n).map(|i| accounts[i].read_direct()).sum();
         assert_eq!(sum, 10 * n as i64);
     }
@@ -361,6 +371,7 @@ fn hierarchy_fast_path_skips_unwritten_partition() {
     // (different hierarchy partition), reader then reads Y forcing a
     // snapshot extension. Validation must skip X's partition via the
     // hierarchy counter and process nothing else.
+    let deadline = deadline::deadline();
     let cfg = StmConfig::default().with_hier_log2(4); // h = 16
     let stm = Stm::new(cfg).unwrap();
 
@@ -404,7 +415,11 @@ fn hierarchy_fast_path_skips_unwritten_partition() {
         // Write something so this stays an update transaction.
         tx.write(x, 1)
     });
-    writer.join().unwrap();
+    join_by(
+        vec![writer],
+        deadline,
+        "hierarchy_fast_path_skips_unwritten_partition",
+    );
     let d = stm.stats().totals.since(&before);
     assert!(d.extensions >= 1, "extension did not fire");
     assert!(
@@ -443,6 +458,7 @@ fn malloc_free_lifecycle_with_reclamation() {
 #[test]
 fn conflicting_writers_record_aborts() {
     // Force write-write conflicts on a single cell with no backoff.
+    let deadline = deadline::deadline();
     let stm = Stm::new(StmConfig::default()).unwrap();
     let cell = Arc::new(WordBlock::new(1));
     let handles: Vec<_> = (0..4)
@@ -462,9 +478,7 @@ fn conflicting_writers_record_aborts() {
             })
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+    join_by(handles, deadline, "conflicting_writers_record_aborts");
     assert_eq!(cell.read(0), 12_000);
     // With four hammering threads some aborts must occur... unless the
     // scheduler fully serialized us (single-core CI), so don't assert a
@@ -552,6 +566,7 @@ fn many_stm_instances_coexist_per_thread() {
 #[test]
 fn large_write_sets_commit_atomically() {
     both_strategies(|cfg| {
+        let deadline = deadline::deadline();
         let stm = Stm::new(cfg).unwrap();
         let arr = Arc::new(WordBlock::new(512));
         let threads = 3;
@@ -581,8 +596,7 @@ fn large_write_sets_commit_atomically() {
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let what = what("large_write_sets_commit_atomically", &cfg);
+        join_by(handles, deadline, &what);
     });
 }

@@ -1,12 +1,14 @@
 //! Cache-line-padded counters for registry-owned aggregates.
 //!
-//! The STM hot paths publish into *per-thread* counters (no sharing, no
-//! padding needed — see `tinystm::stats::ThreadStats`). The telemetry
-//! plane, by contrast, owns a small number of counters that many
-//! threads bump directly (sampler window tallies, flight-recorder
-//! drops). Those live one-per-cache-line so two adjacent counters never
-//! false-share: 128-byte alignment covers the spatial-prefetcher pair
-//! of 64-byte lines on x86 and the 128-byte lines on apple-silicon.
+//! The STM hot paths publish into *per-thread*, owner-written counters
+//! (one writer each, so a Relaxed load + store instead of a locked
+//! read-modify-write, and no padding — see `tinystm::stats::ThreadStats`).
+//! The telemetry plane, by contrast, owns a small number of counters
+//! that many threads bump directly with `fetch_add` (sampler window
+//! tallies, flight-recorder drops). Those live one-per-cache-line so two
+//! adjacent counters never false-share: 128-byte alignment covers the
+//! spatial-prefetcher pair of 64-byte lines on x86 and the 128-byte
+//! lines on apple-silicon.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,17 +1,24 @@
 //! The attempt lifecycle the runtime owns for every protocol: the
 //! memory logs, the wasted-read charge, and the WAL publish with its
-//! failure path. Each check runs on every backend (TinySTM write-back
-//! and write-through, TL2). Lives in the TL2 crate because it is the
-//! one that can see both protocols.
+//! failure path, and the statistics counters it charges. Each check
+//! runs on every backend (TinySTM write-back and write-through, TL2).
+//! Lives in the TL2 crate because it is the one that can see both
+//! protocols.
 
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 use stm_api::mem::WordBlock;
 use stm_api::wal::{PublishError, WalSink};
 use stm_api::{AbortReason, RunError, TmTx, TxKind};
+use stm_telemetry::flight;
 use stm_tl2::Tl2;
 use tinystm::runtime::{Protocol, Runtime};
-use tinystm::{AccessStrategy, Stm, StmConfig};
+use tinystm::{AccessStrategy, Stm, StmConfig, TCell, TxExt};
+
+#[path = "../../core/tests/support/deadline.rs"]
+mod deadline;
+use deadline::join_by;
 
 macro_rules! on_every_backend {
     ($check:ident) => {
@@ -84,6 +91,69 @@ fn only_an_aborted_attempts_reads_are_wasted() {
         let t = tm.stats().totals;
         assert_eq!(t.reads, 20, "{}: 10 reads per attempt", name(&tm));
         assert_eq!(t.wasted_reads, 10, "{}: the aborted attempt's", name(&tm));
+    }
+    on_every_backend!(check);
+}
+
+#[test]
+fn counters_are_exact_and_monotone_under_concurrency() {
+    /// Distinct cells each transaction reads; the first is the counter
+    /// both workers increment, so their attempts conflict and abort.
+    const K: usize = 8;
+    const N: u64 = 10_000;
+    fn check<P: Protocol>(tm: Runtime<P>) {
+        let what = format!("counters under concurrency on {}", name(&tm));
+        let deadline = deadline::deadline();
+        let cells: Arc<Vec<TCell<u64>>> = Arc::new((0..K).map(|_| TCell::new(0)).collect());
+        let start = Arc::new(Barrier::new(2));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (tm, cells, start) = (tm.clone(), Arc::clone(&cells), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..N {
+                        tm.run(TxKind::ReadWrite, |tx| {
+                            let mut count = 0;
+                            for (i, cell) in cells.iter().enumerate() {
+                                let v = tx.read(cell)?;
+                                if i == 0 {
+                                    count = v;
+                                }
+                            }
+                            tx.write(&cells[0], count + 1)
+                        });
+                    }
+                })
+            })
+            .collect();
+        // Every counter a concurrent reader sees only moves forward:
+        // `since` saturates a decrease to zero, so adding it back to
+        // the earlier snapshot misses the later one.
+        let done = Arc::new(AtomicBool::new(false));
+        let poller = {
+            let (tm, done, what) = (tm.clone(), Arc::clone(&done), what.clone());
+            std::thread::spawn(move || {
+                let mut prev = tm.stats().totals;
+                while !done.load(Ordering::Relaxed) {
+                    let now = tm.stats().totals;
+                    assert_eq!(prev.merged(&now.since(&prev)), now, "{what}: went back");
+                    prev = now;
+                    std::thread::yield_now();
+                }
+            })
+        };
+        join_by(workers, deadline, &what);
+        done.store(true, Ordering::Relaxed);
+        join_by(vec![poller], deadline, &what);
+        let t = tm.stats().totals;
+        assert_eq!(cells[0].read_direct(), 2 * N, "{what}: lost update");
+        assert_eq!(t.commits, 2 * N, "{what}");
+        assert_eq!(
+            t.reads,
+            K as u64 * t.commits + t.wasted_reads,
+            "{what}: {t:?}"
+        );
+        assert!(t.writes >= t.commits, "{what}: {t:?}");
     }
     on_every_backend!(check);
 }

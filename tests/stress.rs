@@ -6,38 +6,19 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tinystm_repro::structures::{LinkedList, RbTree, TxSet};
 use tinystm_repro::telemetry::flight;
 use tinystm_repro::tinystm::runtime::{Protocol, Runtime};
 use tinystm_repro::tinystm::{AccessStrategy, CmPolicy, Stm, StmConfig};
 use tinystm_repro::tl2::{Tl2, Tl2Config};
 
-/// How long one backend's run may take before it counts as wedged.
-const DEADLINE: Duration = Duration::from_secs(20);
-
-/// Panic, after dumping the flight recorder, once `deadline` passes.
-fn check_deadline(deadline: Instant, what: &str) {
-    if Instant::now() > deadline {
-        flight::dump_to_stderr(what);
-        panic!("{what}: still running after {DEADLINE:?}");
-    }
-}
-
-fn join_by(handles: Vec<JoinHandle<()>>, deadline: Instant, what: &str) {
-    while !handles.iter().all(|h| h.is_finished()) {
-        check_deadline(deadline, what);
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-}
+#[path = "../crates/core/tests/support/deadline.rs"]
+mod deadline;
+use deadline::{check_deadline, join_by};
 
 #[test]
 fn kitchen_sink_stress() {
-    flight::set_enabled(true);
     // Tiny max_clock forces frequent roll-overs; reconfigurations are
     // driven concurrently; structures must stay consistent throughout.
     for strategy in [AccessStrategy::WriteBack, AccessStrategy::WriteThrough] {
@@ -68,7 +49,7 @@ fn kitchen_sink_stress() {
 
 fn kitchen_sink<P: Protocol>(stm: Runtime<P>, cycle: [P::Config; 4]) {
     let what = format!("kitchen_sink_stress on {}", P::backend_name(&stm.config()));
-    let deadline = Instant::now() + DEADLINE;
+    let deadline = deadline::deadline();
     let tree = Arc::new(RbTree::new(stm.clone()));
     let list = Arc::new(LinkedList::new(stm.clone()));
     for k in 1..=64u64 {
