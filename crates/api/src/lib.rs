@@ -33,6 +33,12 @@
 //! until it commits, `?` propagates aborts, and word accesses go through
 //! the transaction.
 //!
+//! This crate is the *data path* only: running transactions and reading
+//! their counters. Building, reconfiguring, quiescing and attaching a
+//! WAL sink to an instance are inherent methods of `tinystm::Runtime<P>`,
+//! the one runtime both backends are protocols of, and a rejected
+//! configuration is its `tinystm::ConfigError`.
+//!
 //! ```
 //! use stm_api::mem::WordBlock;
 //! use stm_api::model::MutexTm;
@@ -57,13 +63,10 @@
 //! assert_eq!(tm.stats_snapshot().commits, 2);
 //! ```
 
-pub mod lifecycle;
 pub mod mem;
 pub mod model;
 pub mod stats;
 pub mod wal;
-
-pub use lifecycle::{LifecycleError, TmLifecycle};
 
 use core::sync::atomic::AtomicUsize;
 

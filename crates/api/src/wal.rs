@@ -80,7 +80,7 @@ pub trait WalSink: Send + Sync {
     /// Record one committed update transaction.
     ///
     /// * `epoch` — the backend's durability epoch (see
-    ///   `TmLifecycle::wal_epoch`); commit timestamps are unique and
+    ///   `tinystm::Runtime::wal_epoch`); commit timestamps are unique and
     ///   per-key monotone only *within* an epoch.
     /// * `commit_ts` — the transaction's commit timestamp (the paper's
     ///   write version `wv`).

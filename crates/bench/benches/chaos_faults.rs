@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 use stm_bench::perf_emitter;
-use stm_harness::{ChaosOpts, DurBackend, IntSetWorkload};
+use stm_harness::{Backend, ChaosOpts, IntSetWorkload};
 use stm_perf::BenchRecord;
 
 const EXPERIMENT: &str = "chaos-faults";
@@ -29,11 +29,7 @@ fn main() {
         EXPERIMENT,
         "chaos harness fault counters per backend (fixed seed, diagnostic)",
     );
-    for backend in [
-        DurBackend::WriteBack,
-        DurBackend::WriteThrough,
-        DurBackend::Tl2,
-    ] {
+    for backend in Backend::ALL {
         let opts = ChaosOpts {
             backend,
             seed: SEED,

@@ -34,16 +34,17 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use stm_api::mem::WordBlock;
-use stm_api::{TmTx, TxKind};
+use stm_api::{TmHandle, TmTx, TxKind};
 use stm_bench::{bench_cm, bench_record, default_opts, perf_emitter, point_ms, tiny_config};
-use stm_engine::{ShardBackend, ShardedEngine};
+use stm_engine::ShardedEngine;
 use stm_harness::{
     drive, populate, run_intset, run_open_loop, IntSetWorkload, Measurement, OpenLoopOpts,
 };
 use stm_perf::{LatencyHist, PerfEmitter};
 use stm_structures::{LinkedList, TxSet};
-use stm_tl2::{Tl2, Tl2Config};
-use tinystm::{AccessStrategy, Stm};
+use stm_tl2::{Tl2Config, Tl2Protocol};
+use tinystm::stm::Lsa;
+use tinystm::{AccessStrategy, Protocol, Runtime};
 
 /// Shard counts swept by every engine panel.
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -57,25 +58,25 @@ const OPEN_RATE: f64 = 20_000.0;
 /// An intset that routes every key through the engine to a per-shard
 /// linked list — the closed/open cells' unit of work. Identical op
 /// stream to the `bare` cell; only the routing layer differs.
-struct RoutedSet<B: ShardBackend> {
-    engine: ShardedEngine<B>,
-    lists: Vec<LinkedList<B>>,
+struct RoutedSet<P: Protocol> {
+    engine: ShardedEngine<Runtime<P>>,
+    lists: Vec<LinkedList<Runtime<P>>>,
 }
 
-impl<B: ShardBackend> RoutedSet<B> {
-    fn new(engine: ShardedEngine<B>) -> RoutedSet<B> {
+impl<P: Protocol> RoutedSet<P> {
+    fn new(engine: ShardedEngine<Runtime<P>>) -> RoutedSet<P> {
         let lists = (0..engine.shards())
             .map(|i| LinkedList::new(engine.shard(i).clone()))
             .collect();
         RoutedSet { engine, lists }
     }
 
-    fn list_for(&self, key: u64) -> &LinkedList<B> {
+    fn list_for(&self, key: u64) -> &LinkedList<Runtime<P>> {
         &self.lists[self.engine.route(key)]
     }
 }
 
-impl<B: ShardBackend> TxSet for RoutedSet<B> {
+impl<P: Protocol> TxSet for RoutedSet<P> {
     fn add(&self, key: u64) -> bool {
         self.list_for(key).add(key)
     }
@@ -104,7 +105,7 @@ impl<B: ShardBackend> TxSet for RoutedSet<B> {
 /// meanwhile. Worker keys are chosen to spread round-robin over the
 /// shards: with one shard every foreign commit lands on your clock;
 /// with four, only your shard-mates' do.
-fn contend_cell<B: ShardBackend>(engine: &ShardedEngine<B>) -> Measurement {
+fn contend_cell<P: Protocol>(engine: &ShardedEngine<Runtime<P>>) -> Measurement {
     let shards = engine.shards();
     let blocks: Vec<WordBlock> = (0..shards)
         .map(|_| WordBlock::new(CONTEND_THREADS))
@@ -143,8 +144,8 @@ fn contend_cell<B: ShardBackend>(engine: &ShardedEngine<B>) -> Measurement {
 /// One open-loop cell: fixed arrival rate, one worker, latency measured
 /// from *scheduled* arrival to completion (queueing counted — no
 /// coordinated omission).
-fn open_cell<B: ShardBackend>(
-    engine: &ShardedEngine<B>,
+fn open_cell<P: Protocol>(
+    engine: &ShardedEngine<Runtime<P>>,
     workload: IntSetWorkload,
 ) -> (Measurement, LatencyHist, bool) {
     let set = RoutedSet::new(engine.clone());
@@ -194,12 +195,12 @@ fn open_cell<B: ShardBackend>(
 }
 
 /// All four panels for one backend.
-fn bench_backend<B: ShardBackend>(out: &mut PerfEmitter, label: &str, config: &B::Config) {
+fn bench_backend<P: Protocol>(out: &mut PerfEmitter, label: &str, config: &P::Config) {
     let workload = IntSetWorkload::new(1024, 20);
     let open_workload = IntSetWorkload::new(256, 20);
 
     // Panel `bare`: the backend without the engine layer on top.
-    let tm = B::build(config).expect("bench config valid");
+    let tm = Runtime::<P>::new(*config).expect("bench config valid");
     let list = LinkedList::new(tm.clone());
     let stats = move || tm.stats_snapshot();
     let bare = run_intset(&list, workload, default_opts(CLOSED_THREADS), &stats);
@@ -214,7 +215,7 @@ fn bench_backend<B: ShardBackend>(out: &mut PerfEmitter, label: &str, config: &B
 
     // Panel `closed/s{n}`: same closed-loop workload through the engine.
     for shards in SHARDS {
-        let engine = ShardedEngine::<B>::new(shards, config).expect("bench config valid");
+        let engine = ShardedEngine::<Runtime<P>>::new(shards, config).expect("bench config valid");
         let set = RoutedSet::new(engine.clone());
         let stats = {
             let engine = engine.clone();
@@ -242,7 +243,7 @@ fn bench_backend<B: ShardBackend>(out: &mut PerfEmitter, label: &str, config: &B
 
     // Panel `open/s{n}`: fixed-rate arrivals, latency percentiles.
     for shards in SHARDS {
-        let engine = ShardedEngine::<B>::new(shards, config).expect("bench config valid");
+        let engine = ShardedEngine::<Runtime<P>>::new(shards, config).expect("bench config valid");
         let (m, hist, on_schedule) = open_cell(&engine, open_workload);
         let mut rec = bench_record(
             "shard_scaling",
@@ -263,7 +264,7 @@ fn bench_backend<B: ShardBackend>(out: &mut PerfEmitter, label: &str, config: &B
 
     // Panel `contend/s{n}`: the clock-contention probe.
     for shards in SHARDS {
-        let engine = ShardedEngine::<B>::new(shards, config).expect("bench config valid");
+        let engine = ShardedEngine::<Runtime<P>>::new(shards, config).expect("bench config valid");
         let m = contend_cell(&engine);
         let contend_workload = IntSetWorkload {
             initial_size: 0,
@@ -292,17 +293,17 @@ fn main() {
         "shard_scaling",
         "sharded engine: ops/s + open-loop latency percentiles vs shard count (fixed threads)",
     );
-    bench_backend::<Stm>(
+    bench_backend::<Lsa>(
         &mut out,
         "tinystm-wb",
         &tiny_config(AccessStrategy::WriteBack).with_locks_log2(16),
     );
-    bench_backend::<Stm>(
+    bench_backend::<Lsa>(
         &mut out,
         "tinystm-wt",
         &tiny_config(AccessStrategy::WriteThrough).with_locks_log2(16),
     );
-    bench_backend::<Tl2>(
+    bench_backend::<Tl2Protocol>(
         &mut out,
         "tl2",
         &Tl2Config::default().with_locks_log2(20).with_cm(bench_cm()),

@@ -13,6 +13,7 @@
 
 use std::time::Duration;
 use stm_api::stats::BasicStats;
+pub use stm_harness::Backend;
 use stm_harness::{IntSetWorkload, MeasureOpts, Measurement};
 use stm_perf::{BenchRecord, PerfEmitter};
 use stm_structures::{LinkedList, RbTree, TxSet};
@@ -55,31 +56,6 @@ pub fn default_opts(threads: usize) -> MeasureOpts {
         .with_threads(threads)
         .with_warmup(Duration::from_millis(point_ms() / 4))
         .with_duration(Duration::from_millis(point_ms()))
-}
-
-/// The backends of the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// TinySTM with write-back access.
-    TinyWb,
-    /// TinySTM with write-through access.
-    TinyWt,
-    /// The TL2 baseline.
-    Tl2,
-}
-
-impl Backend {
-    /// All three series.
-    pub const ALL: [Backend; 3] = [Backend::TinyWb, Backend::TinyWt, Backend::Tl2];
-
-    /// Series label used in the figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::TinyWb => "tinystm-wb",
-            Backend::TinyWt => "tinystm-wt",
-            Backend::Tl2 => "tl2",
-        }
-    }
 }
 
 /// The two intset structures of Figures 2–6.
@@ -367,12 +343,6 @@ mod tests {
     fn env_defaults() {
         assert!(point_ms() >= 1);
         assert_eq!(thread_list(), vec![1, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn backends_have_distinct_labels() {
-        let labels: std::collections::HashSet<_> = Backend::ALL.iter().map(|b| b.label()).collect();
-        assert_eq!(labels.len(), 3);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! Everything is generic, so each protocol gets its own monomorphised
 //! copy of the loop and the hot path has no dynamic dispatch.
 //!
-//! The handle's trait impls (`TmHandle`, `TmLifecycle`,
-//! `MetricsSource`) are blanket impls in this module: the orphan rule
-//! forbids `stm-tl2` from implementing those foreign traits for
-//! `Runtime<Tl2Protocol>`.
+//! The handle's trait impls (`TmHandle`, `MetricsSource`) are blanket
+//! impls in this module: the orphan rule forbids `stm-tl2` from
+//! implementing those foreign traits for `Runtime<Tl2Protocol>`. The
+//! control path (`new`, `reconfigure`, `quiesce`, `attach_wal`, …) is
+//! inherent: the sharded engine and the tuner hold `Runtime<P>` itself.
 //!
 //! ## Memory ordering (DESIGN.md §3, sites S1–S3)
 //!
@@ -1067,44 +1068,6 @@ fn backoff<P: Protocol>(ts: &ThreadState<P>, cm: CmPolicy) {
                 std::thread::yield_now();
             }
         }
-    }
-}
-
-impl From<ConfigError> for stm_api::LifecycleError {
-    fn from(e: ConfigError) -> stm_api::LifecycleError {
-        stm_api::LifecycleError::InvalidConfig(e.to_string())
-    }
-}
-
-impl<P: Protocol> stm_api::TmLifecycle for Runtime<P> {
-    type Config = P::Config;
-
-    fn build(config: &P::Config) -> Result<Self, stm_api::LifecycleError> {
-        Self::new(*config).map_err(Into::into)
-    }
-
-    fn reconfigure(&self, config: &P::Config) -> Result<(), stm_api::LifecycleError> {
-        Runtime::reconfigure(self, *config).map_err(Into::into)
-    }
-
-    fn clock_now(&self) -> u64 {
-        Runtime::clock_now(self)
-    }
-
-    fn quiesce<R>(&self, critical: impl FnOnce() -> R) -> R {
-        Runtime::quiesce(self, critical)
-    }
-
-    fn attach_wal(&self, sink: &Arc<dyn WalSink>) {
-        Runtime::attach_wal(self, sink)
-    }
-
-    fn detach_wal(&self) {
-        Runtime::detach_wal(self)
-    }
-
-    fn wal_epoch(&self) -> u64 {
-        Runtime::wal_epoch(self)
     }
 }
 

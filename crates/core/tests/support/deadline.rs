@@ -27,14 +27,13 @@ pub fn check_deadline(deadline: Instant, what: &str) {
     }
 }
 
-/// Join every handle, failing via [`check_deadline`] if any is still
-/// running at `deadline`. A worker's panic propagates.
-pub fn join_by(handles: Vec<JoinHandle<()>>, deadline: Instant, what: &str) {
+/// Join every handle and return the workers' results in order, failing
+/// via [`check_deadline`] if any is still running at `deadline`. A
+/// worker's panic propagates.
+pub fn join_by<T>(handles: Vec<JoinHandle<T>>, deadline: Instant, what: &str) -> Vec<T> {
     while !handles.iter().all(|h| h.is_finished()) {
         check_deadline(deadline, what);
         std::thread::sleep(Duration::from_millis(10));
     }
-    for h in handles {
-        h.join().unwrap();
-    }
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
 }

@@ -62,7 +62,7 @@
 //! ## Checkpoint = quiesce fence
 //!
 //! [`DurableEngine::checkpoint`] runs each shard's snapshot inside that
-//! shard's quiesce fence ([`stm_api::TmLifecycle::quiesce`]): no
+//! shard's quiesce fence ([`tinystm::Runtime::quiesce`]): no
 //! transaction is active, every prior commit is fully published and —
 //! because the sink publishes inside the commit critical section —
 //! fully logged. The snapshot (all routed keys, current values) and the
@@ -80,7 +80,6 @@
 //! record is `base + backend_epoch`, with `base` the recovered maximum
 //! epoch (a fresh engine starts at base 0).
 
-use crate::backend::ShardBackend;
 use crate::engine::ShardedEngine;
 use crate::health::{HealthSlot, ShardHealth};
 use core::sync::atomic::Ordering;
@@ -90,11 +89,12 @@ use std::sync::Arc;
 use stm_api::mem::WordBlock;
 use stm_api::stats::{FaultSnapshot, FaultStats};
 use stm_api::wal::{PublishError, WalSink};
-use stm_api::{LifecycleError, TmTx, TxKind};
+use stm_api::{TmTx, TxKind};
 use stm_wal::{
     recover_store, snapshot_of, BatchError, GroupCommitConfig, GroupCommitter, LogWriter, Recovery,
     RetryPolicy, StoreError, WalError, WalStore,
 };
+use tinystm::{ConfigError, Protocol, Runtime};
 
 /// Word size of the tables (the engine is 64-bit word based).
 const WORD: usize = core::mem::size_of::<usize>();
@@ -131,8 +131,8 @@ pub enum DurableError {
         /// The violation.
         error: WalError,
     },
-    /// The backend rejected the configuration.
-    Lifecycle(LifecycleError),
+    /// The runtime rejected the configuration.
+    Config(ConfigError),
     /// `stores.len()` did not match the shard count.
     StoreCount {
         /// Shards requested.
@@ -160,7 +160,7 @@ impl std::fmt::Display for DurableError {
             DurableError::Wal { shard, error } => {
                 write!(f, "shard {shard}: WAL recovery failed: {error}")
             }
-            DurableError::Lifecycle(e) => write!(f, "backend lifecycle error: {e}"),
+            DurableError::Config(e) => write!(f, "invalid configuration: {e}"),
             DurableError::StoreCount { shards, stores } => {
                 write!(f, "{shards} shard(s) but {stores} store(s) supplied")
             }
@@ -179,9 +179,9 @@ impl std::fmt::Display for DurableError {
 
 impl std::error::Error for DurableError {}
 
-impl From<LifecycleError> for DurableError {
-    fn from(e: LifecycleError) -> DurableError {
-        DurableError::Lifecycle(e)
+impl From<ConfigError> for DurableError {
+    fn from(e: ConfigError) -> DurableError {
+        DurableError::Config(e)
     }
 }
 
@@ -337,10 +337,11 @@ struct DurableShard {
 /// A crash-recoverable key/value engine over [`ShardedEngine`] with
 /// per-shard fault degradation.
 ///
-/// Keys are dense `0..n_keys`; values are words. Not `Clone` — the
-/// tables and writers have one owner (share it behind an `Arc`).
-pub struct DurableEngine<B: ShardBackend> {
-    engine: ShardedEngine<B>,
+/// Keys are dense `0..n_keys`; values are words. `R` is a
+/// [`Runtime<P>`], as for [`ShardedEngine`]. Not `Clone` — the tables
+/// and writers have one owner (share it behind an `Arc`).
+pub struct DurableEngine<R> {
+    engine: ShardedEngine<R>,
     shards: Vec<DurableShard>,
     n_keys: usize,
     stats: Arc<FaultStats>,
@@ -348,7 +349,7 @@ pub struct DurableEngine<B: ShardBackend> {
     batch_hist: Arc<stm_telemetry::AtomicHist>,
 }
 
-impl<B: ShardBackend> DurableEngine<B> {
+impl<P: Protocol> DurableEngine<Runtime<P>> {
     /// Build a fresh engine: `shards` backend instances, one table and
     /// one [`GroupCommitter`] per shard, sinks attached. `stores[i]`
     /// receives shard `i`'s log; supply one store per shard. Concurrent
@@ -357,10 +358,10 @@ impl<B: ShardBackend> DurableEngine<B> {
     pub fn new_grouped(
         shards: usize,
         n_keys: usize,
-        config: &B::Config,
+        config: &P::Config,
         stores: Vec<Arc<dyn WalStore>>,
         group: GroupCommitConfig,
-    ) -> Result<DurableEngine<B>, DurableError> {
+    ) -> Result<Self, DurableError> {
         Self::build(shards, n_keys, config, stores, None, group)
     }
 
@@ -376,10 +377,10 @@ impl<B: ShardBackend> DurableEngine<B> {
     pub fn recover_grouped(
         shards: usize,
         n_keys: usize,
-        config: &B::Config,
+        config: &P::Config,
         stores: Vec<Arc<dyn WalStore>>,
         group: GroupCommitConfig,
-    ) -> Result<(DurableEngine<B>, Vec<Recovery>), DurableError> {
+    ) -> Result<(Self, Vec<Recovery>), DurableError> {
         let mut recoveries = Vec::with_capacity(shards);
         for (i, store) in stores.iter().enumerate() {
             let r = recover_store(store.as_ref())
@@ -397,18 +398,18 @@ impl<B: ShardBackend> DurableEngine<B> {
     fn build(
         n_shards: usize,
         n_keys: usize,
-        config: &B::Config,
+        config: &P::Config,
         stores: Vec<Arc<dyn WalStore>>,
         recovered: Option<&[Recovery]>,
         group: GroupCommitConfig,
-    ) -> Result<DurableEngine<B>, DurableError> {
+    ) -> Result<Self, DurableError> {
         if stores.len() != n_shards {
             return Err(DurableError::StoreCount {
                 shards: n_shards,
                 stores: stores.len(),
             });
         }
-        let engine: ShardedEngine<B> = ShardedEngine::new(n_shards, config)?;
+        let engine = ShardedEngine::new(n_shards, config)?;
         let stats = Arc::new(FaultStats::new());
         let batch_hist = Arc::new(stm_telemetry::AtomicHist::new());
         let mut shards = Vec::with_capacity(n_shards);
@@ -468,7 +469,7 @@ impl<B: ShardBackend> DurableEngine<B> {
     }
 
     /// The underlying sharded engine (stats, routing, reconfigure).
-    pub fn engine(&self) -> &ShardedEngine<B> {
+    pub fn engine(&self) -> &ShardedEngine<Runtime<P>> {
         &self.engine
     }
 
@@ -578,7 +579,7 @@ impl<B: ShardBackend> DurableEngine<B> {
     pub fn update<R>(
         &self,
         anchor_key: u64,
-        body: impl for<'a> FnMut(&mut B::Tx<'a>) -> stm_api::TxResult<R>,
+        body: impl for<'a> FnMut(&mut P::Tx<'a>) -> stm_api::TxResult<R>,
     ) -> Result<R, WriteError> {
         let shard = self.engine.route(anchor_key);
         self.check_writable(shard)?;
@@ -725,7 +726,7 @@ impl<B: ShardBackend> DurableEngine<B> {
     }
 }
 
-impl<B: ShardBackend> stm_telemetry::MetricsSource for DurableEngine<B> {
+impl<P: Protocol> stm_telemetry::MetricsSource for DurableEngine<Runtime<P>> {
     fn collect(&self, frame: &mut stm_telemetry::MetricsFrame) {
         stm_telemetry::MetricsSource::collect(&self.engine, frame);
         let f = self.fault_stats();

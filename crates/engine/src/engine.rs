@@ -40,13 +40,13 @@
 //!   state — the classic 2PC-over-independent-stores caveat, documented
 //!   rather than hidden (DESIGN.md §6).
 
-use crate::backend::ShardBackend;
 use crate::router::Router;
 use core::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use stm_api::stats::BasicStats;
-use stm_api::{LifecycleError, TmLifecycle, TxKind, TxResult};
+use stm_api::{TmHandle, TxKind, TxResult};
+use tinystm::{ConfigError, Protocol, Runtime};
 
 /// What [`ShardedEngine::run_cross`] does with a multi-shard key set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,8 +59,8 @@ pub enum CrossShardPolicy {
     TwoPhase,
 }
 
-/// Engine-level errors (backend config errors surface as the
-/// backend-neutral [`stm_api::LifecycleError`]).
+/// Engine-level errors (a rejected configuration surfaces as the
+/// runtime's own [`ConfigError`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// A multi-shard request arrived under [`CrossShardPolicy::Reject`].
@@ -85,8 +85,8 @@ impl std::error::Error for EngineError {}
 
 /// One shard: an independent backend instance plus its cross-shard gate
 /// and reconfigure epoch.
-struct ShardSlot<B> {
-    tm: B,
+struct ShardSlot<R> {
+    tm: R,
     /// Cross-shard gate: only [`ShardedEngine::run_cross`] under
     /// [`CrossShardPolicy::TwoPhase`] ever locks it — the single-shard
     /// fast path never touches it.
@@ -97,20 +97,22 @@ struct ShardSlot<B> {
     epoch: AtomicU64,
 }
 
-struct EngineInner<B: ShardBackend> {
-    shards: Vec<ShardSlot<B>>,
+struct EngineInner<R> {
+    shards: Vec<ShardSlot<R>>,
     router: Router,
     policy: CrossShardPolicy,
 }
 
 /// N independent backend instances behind a stable key→shard router.
 ///
-/// Cheap to clone; clones share all shards.
-pub struct ShardedEngine<B: ShardBackend> {
-    inner: Arc<EngineInner<B>>,
+/// `R` is always a [`Runtime<P>`] (see the crate docs for why the
+/// parameter names the runtime). Cheap to clone; clones share all
+/// shards.
+pub struct ShardedEngine<R> {
+    inner: Arc<EngineInner<R>>,
 }
 
-impl<B: ShardBackend> Clone for ShardedEngine<B> {
+impl<R> Clone for ShardedEngine<R> {
     fn clone(&self) -> Self {
         ShardedEngine {
             inner: Arc::clone(&self.inner),
@@ -118,17 +120,17 @@ impl<B: ShardBackend> Clone for ShardedEngine<B> {
     }
 }
 
-impl<B: ShardBackend> ShardedEngine<B> {
+impl<P: Protocol> ShardedEngine<Runtime<P>> {
     /// Build `shards` independent instances of `config` with the
     /// default [`CrossShardPolicy::Reject`].
-    pub fn new(shards: usize, config: &B::Config) -> Result<ShardedEngine<B>, LifecycleError> {
+    pub fn new(shards: usize, config: &P::Config) -> Result<Self, ConfigError> {
         let router = Router::new(shards); // panics on 0, like Router
         let mut slots = Vec::with_capacity(shards);
         for i in 0..shards {
-            let tm = B::build(config)?;
+            let tm = Runtime::new(*config)?;
             // Stamp the shard index into the instance's telemetry so
             // per-shard histograms and flight-recorder events carry it.
-            tm.shard_tx_metrics().set_tag(i as u32);
+            tm.telemetry().set_tag(i as u32);
             slots.push(ShardSlot {
                 tm,
                 gate: Mutex::new(()),
@@ -168,13 +170,13 @@ impl<B: ShardBackend> ShardedEngine<B> {
     }
 
     /// Direct handle to shard `i`'s backend (structure setup, stats).
-    pub fn shard(&self, i: usize) -> &B {
+    pub fn shard(&self, i: usize) -> &Runtime<P> {
         &self.inner.shards[i].tm
     }
 
     /// Borrow the backend `key` routes to (build per-shard structures
     /// without duplicating the routing math).
-    pub fn with_shard<R>(&self, key: u64, f: impl FnOnce(&B) -> R) -> R {
+    pub fn with_shard<R>(&self, key: u64, f: impl FnOnce(&Runtime<P>) -> R) -> R {
         f(&self.inner.shards[self.route(key)].tm)
     }
 
@@ -185,7 +187,7 @@ impl<B: ShardBackend> ShardedEngine<B> {
     #[inline]
     pub fn run_on<R, F>(&self, key: u64, kind: TxKind, body: F) -> R
     where
-        F: for<'a> FnMut(&mut B::Tx<'a>) -> TxResult<R>,
+        F: for<'a> FnMut(&mut P::Tx<'a>) -> TxResult<R>,
     {
         self.inner.shards[self.route(key)].tm.run(kind, body)
     }
@@ -195,7 +197,7 @@ impl<B: ShardBackend> ShardedEngine<B> {
     #[inline]
     pub fn try_run_on<R, F>(&self, key: u64, kind: TxKind, body: F) -> Result<R, stm_api::RunError>
     where
-        F: for<'a> FnMut(&mut B::Tx<'a>) -> TxResult<R>,
+        F: for<'a> FnMut(&mut P::Tx<'a>) -> TxResult<R>,
     {
         self.inner.shards[self.route(key)].tm.try_run(kind, body)
     }
@@ -213,7 +215,7 @@ impl<B: ShardBackend> ShardedEngine<B> {
     pub fn run_cross<R>(
         &self,
         keys: &[u64],
-        f: impl FnOnce(&CrossCtx<'_, B>) -> R,
+        f: impl FnOnce(&CrossCtx<'_, Runtime<P>>) -> R,
     ) -> Result<R, EngineError> {
         let mut involved: Vec<usize> = keys.iter().map(|&k| self.route(k)).collect();
         involved.sort_unstable();
@@ -242,15 +244,15 @@ impl<B: ShardBackend> ShardedEngine<B> {
     /// Quiesce shard `i` only and switch it to `config`; every other
     /// shard keeps running untouched. Routing is unaffected — the
     /// router depends only on the shard count.
-    pub fn reconfigure_shard(&self, i: usize, config: &B::Config) -> Result<(), LifecycleError> {
-        self.inner.shards[i].tm.reconfigure(config)?;
+    pub fn reconfigure_shard(&self, i: usize, config: &P::Config) -> Result<(), ConfigError> {
+        self.inner.shards[i].tm.reconfigure(*config)?;
         self.inner.shards[i].epoch.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Reconfigure every shard (sequentially; each shard quiesces on
     /// its own — there is no global stop-the-world).
-    pub fn reconfigure_all(&self, config: &B::Config) -> Result<(), LifecycleError> {
+    pub fn reconfigure_all(&self, config: &P::Config) -> Result<(), ConfigError> {
         for i in 0..self.shards() {
             self.reconfigure_shard(i, config)?;
         }
@@ -264,7 +266,7 @@ impl<B: ShardBackend> ShardedEngine<B> {
 
     /// Shard `i`'s commit-clock value.
     pub fn clock_now(&self, i: usize) -> u64 {
-        TmLifecycle::clock_now(&self.inner.shards[i].tm)
+        self.inner.shards[i].tm.clock_now()
     }
 
     /// Commit/abort/clock-conflict counters summed over all shards.
@@ -279,7 +281,7 @@ impl<B: ShardBackend> ShardedEngine<B> {
     #[cfg(feature = "record")]
     pub fn attach_trace_all(&self, sink: &std::sync::Arc<stm_check::TraceSink>) {
         for s in &self.inner.shards {
-            s.tm.shard_attach_trace(sink);
+            s.tm.attach_trace(sink);
         }
     }
 
@@ -287,29 +289,29 @@ impl<B: ShardBackend> ShardedEngine<B> {
     #[cfg(feature = "record")]
     pub fn detach_trace_all(&self) {
         for s in &self.inner.shards {
-            s.tm.shard_detach_trace();
+            s.tm.detach_trace();
         }
     }
 
     /// Shard `i`'s record epoch (see the backend's `record_epoch`).
     #[cfg(feature = "record")]
     pub fn record_epoch(&self, i: usize) -> u64 {
-        self.inner.shards[i].tm.shard_record_epoch()
+        self.inner.shards[i].tm.record_epoch()
     }
 
     /// Enable or disable the per-shard commit-latency/retry histograms
     /// on every shard (one Relaxed store per shard).
     pub fn set_telemetry_enabled(&self, on: bool) {
         for s in &self.inner.shards {
-            s.tm.shard_tx_metrics().set_enabled(on);
+            s.tm.telemetry().set_enabled(on);
         }
     }
 }
 
-impl<B: ShardBackend> stm_telemetry::MetricsSource for ShardedEngine<B> {
+impl<P: Protocol> stm_telemetry::MetricsSource for ShardedEngine<Runtime<P>> {
     fn collect(&self, frame: &mut stm_telemetry::MetricsFrame) {
         for (i, s) in self.inner.shards.iter().enumerate() {
-            s.tm.shard_collect_metrics(frame);
+            stm_telemetry::MetricsSource::collect(&s.tm, frame);
             let shard = i.to_string();
             frame.gauge(
                 "stm_reconfigure_epoch",
@@ -324,12 +326,12 @@ impl<B: ShardBackend> stm_telemetry::MetricsSource for ShardedEngine<B> {
 /// Access scope handed to a [`ShardedEngine::run_cross`] closure: runs
 /// per-shard transactions, asserting each access stays inside the
 /// shards the declared key set routed to.
-pub struct CrossCtx<'e, B: ShardBackend> {
-    engine: &'e ShardedEngine<B>,
+pub struct CrossCtx<'e, R> {
+    engine: &'e ShardedEngine<R>,
     involved: &'e [usize],
 }
 
-impl<B: ShardBackend> CrossCtx<'_, B> {
+impl<P: Protocol> CrossCtx<'_, Runtime<P>> {
     /// The involved shards (ascending).
     pub fn shards(&self) -> &[usize] {
         self.involved
@@ -343,7 +345,7 @@ impl<B: ShardBackend> CrossCtx<'_, B> {
     /// atomicity silently.
     pub fn run_on<R, F>(&self, key: u64, kind: TxKind, body: F) -> R
     where
-        F: for<'a> FnMut(&mut B::Tx<'a>) -> TxResult<R>,
+        F: for<'a> FnMut(&mut P::Tx<'a>) -> TxResult<R>,
     {
         let s = self.engine.route(key);
         assert!(

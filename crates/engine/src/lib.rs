@@ -14,13 +14,6 @@
 //!
 //! * [`Router`] — stateless, stable key→shard map (SplitMix64 +
 //!   multiply-shift);
-//! * [`stm_api::TmLifecycle`] (re-exported here) — the backend
-//!   lifecycle trait: construction, reconfigure, clock, quiesce fence,
-//!   and WAL attachment;
-//! * [`ShardBackend`] — the engine's extension of `TmLifecycle` adding
-//!   trace attachment (feature `record`; its sink type lives in
-//!   `stm-check`, which depends on `stm-api`, so it cannot sit on the
-//!   api trait);
 //! * [`ShardedEngine`] — the engine: [`ShardedEngine::run_on`] fast
 //!   path, [`ShardedEngine::run_cross`] under a [`CrossShardPolicy`],
 //!   per-shard reconfigure with epoch tracking;
@@ -31,6 +24,20 @@
 //!   layer: per-shard submission queues with bounded backpressure,
 //!   executor pools feeding the group-commit batches, checkpoints
 //!   scheduled under load.
+//!
+//! ## Shards are `Runtime<P>`
+//!
+//! Every shard is a [`tinystm::Runtime<P>`]: TinySTM (`tinystm::Stm`)
+//! and the TL2 baseline (`stm_tl2::Tl2`) are two locking protocols of
+//! that one runtime, so the engine calls its inherent control path
+//! directly — `new`, `reconfigure`, `quiesce`, `attach_wal`,
+//! `telemetry`, `attach_trace` — and a rejected configuration is the
+//! runtime's [`tinystm::ConfigError`] (wrapped as
+//! [`DurableError::Config`] by the durable layer). The types are
+//! parameterised by the runtime, not the protocol — `ShardedEngine<Stm>`,
+//! `DurableEngine<Tl2>`, `StmService<Stm>` — so callers name the same
+//! handle type they would build on its own; the structs themselves are
+//! unbounded and their methods live in `impl<P: Protocol> …<Runtime<P>>`.
 //!
 //! ```
 //! use stm_engine::ShardedEngine;
@@ -51,30 +58,29 @@
 //! assert_eq!(cell.read(0), 1);
 //! ```
 
-mod backend;
 mod durable;
 mod engine;
 mod health;
 mod router;
 mod service;
 
-pub use backend::ShardBackend;
 pub use durable::{DurableEngine, DurableError, InDoubtCommit, WriteError};
 pub use engine::{CrossCtx, CrossShardPolicy, EngineError, ShardedEngine};
 pub use health::{HealthSlot, ShardHealth};
 pub use router::Router;
 pub use service::{ServiceConfig, ServiceError, StmService};
-// Compat re-exports: the lifecycle trait moved to `stm-api` (PR 7);
-// dependents that imported it from here keep compiling.
-pub use stm_api::{LifecycleError, TmLifecycle};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use stm_api::mem::WordBlock;
     use stm_api::{TmTx, TxKind};
-    use stm_tl2::{Tl2, Tl2Config};
-    use tinystm::{Stm, StmConfig};
+    use stm_tl2::{Tl2, Tl2Config, Tl2Protocol};
+    use stm_wal::{GroupCommitConfig, MemStore, WalStore};
+    use tinystm::config::MAX_LOCKS_LOG2;
+    use tinystm::stm::Lsa;
+    use tinystm::{AccessStrategy, ConfigError, Protocol, Runtime, Stm, StmConfig};
 
     #[test]
     fn engine_over_tinystm_counts_per_shard() {
@@ -183,6 +189,46 @@ mod tests {
             .families()
             .iter()
             .any(|f| f.name == "stm_reconfigure_epoch"));
+    }
+
+    /// A configuration the runtime rejects is a typed [`ConfigError`] at
+    /// every entry point, and a rejected `reconfigure_all` leaves every
+    /// shard on its old geometry, serving transactions.
+    fn bad_config_is_typed<P: Protocol>(good: P::Config, bad: P::Config) {
+        let want = ConfigError::LocksOutOfRange(MAX_LOCKS_LOG2 + 1);
+        let err = ShardedEngine::<Runtime<P>>::new(2, &bad).err();
+        assert_eq!(err, Some(want.clone()));
+        let stores = vec![MemStore::healthy() as Arc<dyn WalStore>; 2];
+        let group = GroupCommitConfig::default();
+        match DurableEngine::<Runtime<P>>::new_grouped(2, 8, &bad, stores, group) {
+            Err(DurableError::Config(e)) => assert_eq!(e, want),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("new_grouped accepted {bad:?}"),
+        }
+        let engine = ShardedEngine::<Runtime<P>>::new(2, &good).unwrap();
+        assert_eq!(engine.reconfigure_all(&bad), Err(want));
+        let cells: Vec<WordBlock> = (0..8).map(|_| WordBlock::new(1)).collect();
+        for (k, cell) in cells.iter().enumerate() {
+            let addr = cell.as_ptr();
+            engine.run_on(k as u64, TxKind::ReadWrite, |tx| unsafe {
+                tx.store_word(addr, k + 1)
+            });
+            assert_eq!(cell.read(0), k + 1);
+        }
+        for i in 0..engine.shards() {
+            assert_eq!(engine.reconfigure_epoch(i), 0);
+            assert_eq!(engine.shard(i).stats().reconfigurations, 0);
+        }
+    }
+
+    #[test]
+    fn bad_config_is_a_typed_error_on_every_backend() {
+        for strategy in [AccessStrategy::WriteBack, AccessStrategy::WriteThrough] {
+            let good = StmConfig::default().with_strategy(strategy);
+            bad_config_is_typed::<Lsa>(good, good.with_locks_log2(MAX_LOCKS_LOG2 + 1));
+        }
+        let good = Tl2Config::default();
+        bad_config_is_typed::<Tl2Protocol>(good, good.with_locks_log2(MAX_LOCKS_LOG2 + 1));
     }
 
     #[test]

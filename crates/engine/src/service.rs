@@ -38,7 +38,6 @@
 //! submission's value is durable at the engine's level when `put`
 //! returns `Ok`.
 
-use crate::backend::ShardBackend;
 use crate::durable::{DurableEngine, DurableError, WriteError};
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -46,6 +45,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 use stm_telemetry::{AtomicHist, HistSnapshot};
+use tinystm::{Protocol, Runtime};
 
 /// Sizing of an [`StmService`].
 #[derive(Debug, Clone, Copy)]
@@ -213,8 +213,8 @@ struct ShardQueue {
 }
 
 /// State shared between the service handle and its executor threads.
-struct Shared<B: ShardBackend> {
-    engine: Arc<DurableEngine<B>>,
+struct Shared<R> {
+    engine: Arc<DurableEngine<R>>,
     config: ServiceConfig,
     shards: Vec<ShardQueue>,
     stopping: AtomicBool,
@@ -228,7 +228,7 @@ struct Shared<B: ShardBackend> {
     ack_hist: AtomicHist,
 }
 
-impl<B: ShardBackend> Shared<B> {
+impl<P: Protocol> Shared<Runtime<P>> {
     /// Executor body: drain one shard's queue until the service stops
     /// *and* the queue is empty (accepted submissions are always
     /// resolved, even during shutdown).
@@ -265,19 +265,19 @@ impl<B: ShardBackend> Shared<B> {
 /// and exit. Submissions racing a stop get [`ServiceError::Stopped`]
 /// (if they lose the race at the queue) or their normal outcome (if
 /// they won it — accepted work is always finished).
-pub struct StmService<B: ShardBackend + 'static> {
-    shared: Arc<Shared<B>>,
+pub struct StmService<R> {
+    shared: Arc<Shared<R>>,
     executors: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-impl<B: ShardBackend + 'static> StmService<B> {
+impl<P: Protocol> StmService<Runtime<P>> {
     /// Start a service over `engine`: per-shard queues, and
     /// `executors_per_shard` executor threads per engine shard.
     ///
     /// # Panics
     /// If the tenant key space (`tenants * keys_per_tenant`) exceeds
     /// the engine's key range, or `executors_per_shard == 0`.
-    pub fn start(engine: Arc<DurableEngine<B>>, config: ServiceConfig) -> StmService<B> {
+    pub fn start(engine: Arc<DurableEngine<Runtime<P>>>, config: ServiceConfig) -> Self {
         let span = config.tenants * config.keys_per_tenant;
         assert!(
             span <= engine.n_keys(),
@@ -317,7 +317,7 @@ impl<B: ShardBackend + 'static> StmService<B> {
     }
 
     /// The engine underneath (stats, stores, health).
-    pub fn engine(&self) -> &Arc<DurableEngine<B>> {
+    pub fn engine(&self) -> &Arc<DurableEngine<Runtime<P>>> {
         &self.shared.engine
     }
 
@@ -401,7 +401,12 @@ impl<B: ShardBackend + 'static> StmService<B> {
         }
         Ok(())
     }
+}
 
+/// Stopping and the counters touch only the queues, the executor
+/// handles and atomics, so they need no bound (and `Drop` may not have
+/// one the struct lacks).
+impl<R> StmService<R> {
     /// Stop the service: reject new submissions, drain the accepted
     /// backlog, join the executors. Idempotent.
     pub fn stop(&self) {
@@ -439,13 +444,13 @@ impl<B: ShardBackend + 'static> StmService<B> {
     }
 }
 
-impl<B: ShardBackend + 'static> Drop for StmService<B> {
+impl<R> Drop for StmService<R> {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-impl<B: ShardBackend + 'static> stm_telemetry::MetricsSource for StmService<B> {
+impl<P: Protocol> stm_telemetry::MetricsSource for StmService<Runtime<P>> {
     fn collect(&self, frame: &mut stm_telemetry::MetricsFrame) {
         stm_telemetry::MetricsSource::collect(self.shared.engine.as_ref(), frame);
         frame.counter(

@@ -8,9 +8,10 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use stm_api::mem::WordBlock;
 use stm_api::{TmTx, TxKind};
-use stm_engine::{ShardBackend, ShardedEngine};
-use stm_tl2::{Tl2, Tl2Config};
-use tinystm::{Stm, StmConfig};
+use stm_engine::ShardedEngine;
+use stm_tl2::{Tl2Config, Tl2Protocol};
+use tinystm::stm::Lsa;
+use tinystm::{Protocol, Runtime, StmConfig};
 
 /// Foreign commits driven into an open transaction's window.
 const K: u64 = 100;
@@ -18,7 +19,7 @@ const K: u64 = 100;
 /// Open a transaction on `key_a`, let the main thread commit [`K`]
 /// update transactions on `key_b` while it is open, then commit it.
 /// Returns the engine-wide `clock_conflicts` delta.
-fn spanning_lag<B: ShardBackend>(engine: &ShardedEngine<B>, key_a: u64, key_b: u64) -> u64 {
+fn spanning_lag<P: Protocol>(engine: &ShardedEngine<Runtime<P>>, key_a: u64, key_b: u64) -> u64 {
     let cell_a = WordBlock::new(1);
     let cell_b = WordBlock::new(1);
     let before = engine.stats().clock_conflicts;
@@ -54,13 +55,13 @@ fn spanning_lag<B: ShardBackend>(engine: &ShardedEngine<B>, key_a: u64, key_b: u
 }
 
 /// A key routing to a different shard than `other` (needs ≥ 2 shards).
-fn foreign_key<B: ShardBackend>(engine: &ShardedEngine<B>, other: u64) -> u64 {
+fn foreign_key<P: Protocol>(engine: &ShardedEngine<Runtime<P>>, other: u64) -> u64 {
     (0u64..)
         .find(|&k| engine.route(k) != engine.route(other))
         .expect("router spreads keys")
 }
 
-fn drop_with_shards<B: ShardBackend>(one: ShardedEngine<B>, four: ShardedEngine<B>) {
+fn drop_with_shards<P: Protocol>(one: ShardedEngine<Runtime<P>>, four: ShardedEngine<Runtime<P>>) {
     // One shard: every foreign commit lands on the open transaction's
     // clock, so the window absorbs at least K timestamps.
     let same = spanning_lag(&one, 0, 1);
@@ -83,7 +84,7 @@ fn drop_with_shards<B: ShardBackend>(one: ShardedEngine<B>, four: ShardedEngine<
 
 #[test]
 fn tinystm_clock_conflicts_drop_with_shards() {
-    drop_with_shards::<Stm>(
+    drop_with_shards::<Lsa>(
         ShardedEngine::new(1, &StmConfig::default()).unwrap(),
         ShardedEngine::new(4, &StmConfig::default()).unwrap(),
     );
@@ -91,7 +92,7 @@ fn tinystm_clock_conflicts_drop_with_shards() {
 
 #[test]
 fn tl2_clock_conflicts_drop_with_shards() {
-    drop_with_shards::<Tl2>(
+    drop_with_shards::<Tl2Protocol>(
         ShardedEngine::new(1, &Tl2Config::default()).unwrap(),
         ShardedEngine::new(4, &Tl2Config::default()).unwrap(),
     );

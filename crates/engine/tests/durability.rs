@@ -5,10 +5,11 @@
 //! state, and corruption fails loudly instead of diverging silently.
 
 use std::sync::Arc;
-use stm_engine::{DurableEngine, DurableError, ShardBackend};
-use stm_tl2::{Tl2, Tl2Config};
+use stm_engine::{DurableEngine, DurableError};
+use stm_tl2::{Tl2, Tl2Config, Tl2Protocol};
 use stm_wal::{CrashSwitch, GroupCommitConfig, MemStore, Recovery, TailStatus, WalError, WalStore};
-use tinystm::{AccessStrategy, Stm, StmConfig};
+use tinystm::stm::Lsa;
+use tinystm::{AccessStrategy, Protocol, Runtime, Stm, StmConfig};
 
 const SHARDS: usize = 2;
 const KEYS: usize = 48;
@@ -27,7 +28,7 @@ fn stores(switch: &Arc<CrashSwitch>) -> (Vec<Arc<MemStore>>, Vec<Arc<dyn WalStor
 }
 
 /// A fresh engine over `dyns`.
-fn fresh<B: ShardBackend>(config: &B::Config, dyns: &[Arc<dyn WalStore>]) -> DurableEngine<B> {
+fn fresh<P: Protocol>(config: &P::Config, dyns: &[Arc<dyn WalStore>]) -> DurableEngine<Runtime<P>> {
     DurableEngine::new_grouped(
         SHARDS,
         KEYS,
@@ -39,10 +40,10 @@ fn fresh<B: ShardBackend>(config: &B::Config, dyns: &[Arc<dyn WalStore>]) -> Dur
 }
 
 /// Recover an engine from `dyns`.
-fn recover<B: ShardBackend>(
-    config: &B::Config,
+fn recover<P: Protocol>(
+    config: &P::Config,
     dyns: &[Arc<dyn WalStore>],
-) -> Result<(DurableEngine<B>, Vec<Recovery>), DurableError> {
+) -> Result<(DurableEngine<Runtime<P>>, Vec<Recovery>), DurableError> {
     DurableEngine::recover_grouped(
         SHARDS,
         KEYS,
@@ -54,7 +55,7 @@ fn recover<B: ShardBackend>(
 
 /// The deterministic single-threaded workload: returns, per shard, the
 /// issued `(key, value)` sequence in commit order.
-fn drive<B: ShardBackend>(engine: &DurableEngine<B>) -> Vec<Vec<(u64, u64)>> {
+fn drive<P: Protocol>(engine: &DurableEngine<Runtime<P>>) -> Vec<Vec<(u64, u64)>> {
     let mut issued = vec![Vec::new(); SHARDS];
     for i in 0..OPS {
         let key = ((i * 7 + 3) % KEYS) as u64;
@@ -67,15 +68,15 @@ fn drive<B: ShardBackend>(engine: &DurableEngine<B>) -> Vec<Vec<(u64, u64)>> {
 
 /// Clean shutdown: recovery reproduces the exact pre-crash state and
 /// reports clean tails.
-fn clean_shutdown_recovers_exactly<B: ShardBackend>(config: &B::Config) {
+fn clean_shutdown_recovers_exactly<P: Protocol>(config: &P::Config) {
     let switch = CrashSwitch::unlimited();
     let (_mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = fresh(config, &dyns);
+    let engine: DurableEngine<Runtime<P>> = fresh(config, &dyns);
     drive(&engine);
     let expected = engine.read_all();
     drop(engine);
 
-    let (recovered, reports) = recover::<B>(config, &dyns).unwrap();
+    let (recovered, reports) = recover::<P>(config, &dyns).unwrap();
     assert_eq!(recovered.read_all(), expected);
     for r in &reports {
         assert!(
@@ -89,10 +90,10 @@ fn clean_shutdown_recovers_exactly<B: ShardBackend>(config: &B::Config) {
 /// Kill mid-run via a shared byte budget: each shard recovers to a
 /// *prefix* of its committed sequence, and the recovered state is the
 /// fold of exactly that prefix.
-fn torn_tail_recovers_shard_prefixes<B: ShardBackend>(config: &B::Config, budget: u64) {
+fn torn_tail_recovers_shard_prefixes<P: Protocol>(config: &P::Config, budget: u64) {
     let switch = CrashSwitch::after_bytes(budget);
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = fresh(config, &dyns);
+    let engine: DurableEngine<Runtime<P>> = fresh(config, &dyns);
     let issued = drive(&engine);
     drop(engine);
     assert!(
@@ -102,7 +103,7 @@ fn torn_tail_recovers_shard_prefixes<B: ShardBackend>(config: &B::Config, budget
     let torn_bytes: usize = mems.iter().map(|m| m.log_len()).sum();
     assert!(torn_bytes > 0, "the cut landed before any log bytes");
 
-    let (recovered, reports) = recover::<B>(config, &dyns).unwrap();
+    let (recovered, reports) = recover::<P>(config, &dyns).unwrap();
     let mut expected = std::collections::BTreeMap::new();
     for k in 0..KEYS as u64 {
         expected.insert(k, 0u64);
@@ -129,10 +130,10 @@ fn torn_tail_recovers_shard_prefixes<B: ShardBackend>(config: &B::Config, budget
 /// Checkpoint, write more, recover: the snapshot plus the log tail
 /// reproduce the full state, and the log only holds post-checkpoint
 /// records.
-fn checkpoint_then_recover<B: ShardBackend>(config: &B::Config) {
+fn checkpoint_then_recover<P: Protocol>(config: &P::Config) {
     let switch = CrashSwitch::unlimited();
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = fresh(config, &dyns);
+    let engine: DurableEngine<Runtime<P>> = fresh(config, &dyns);
     drive(&engine);
     engine.checkpoint().unwrap();
     assert!(
@@ -145,7 +146,7 @@ fn checkpoint_then_recover<B: ShardBackend>(config: &B::Config) {
     let expected = engine.read_all();
     drop(engine);
 
-    let (recovered, reports) = recover::<B>(config, &dyns).unwrap();
+    let (recovered, reports) = recover::<P>(config, &dyns).unwrap();
     assert_eq!(recovered.read_all(), expected);
     let replayed: usize = reports.iter().map(|r| r.records.len()).sum();
     assert_eq!(replayed, 8, "log should hold only post-checkpoint commits");
@@ -154,10 +155,10 @@ fn checkpoint_then_recover<B: ShardBackend>(config: &B::Config) {
 /// Damage an interior record while intact records follow: recovery must
 /// refuse loudly (prefix recovery would silently drop a committed
 /// write that later records build on).
-fn interior_corruption_is_loud<B: ShardBackend>(config: &B::Config) {
+fn interior_corruption_is_loud<P: Protocol>(config: &P::Config) {
     let switch = CrashSwitch::unlimited();
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = fresh(config, &dyns);
+    let engine: DurableEngine<Runtime<P>> = fresh(config, &dyns);
     drive(&engine);
     drop(engine);
 
@@ -165,7 +166,7 @@ fn interior_corruption_is_loud<B: ShardBackend>(config: &B::Config) {
     // header is 8 bytes; byte 12 sits in the sequence field).
     assert!(mems[0].log_len() > 120, "need several records to corrupt");
     mems[0].flip_log_bit(12, 3);
-    let err = match recover::<B>(config, &dyns) {
+    let err = match recover::<P>(config, &dyns) {
         Err(e) => e,
         Ok(_) => panic!("interior corruption must fail recovery"),
     };
@@ -185,16 +186,16 @@ fn interior_corruption_is_loud<B: ShardBackend>(config: &B::Config) {
 
 /// A truncated tail (crash-style chop, no bit damage) recovers the
 /// remaining prefix and reports the tail.
-fn chopped_tail_reports_and_recovers<B: ShardBackend>(config: &B::Config) {
+fn chopped_tail_reports_and_recovers<P: Protocol>(config: &P::Config) {
     let switch = CrashSwitch::unlimited();
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = fresh(config, &dyns);
+    let engine: DurableEngine<Runtime<P>> = fresh(config, &dyns);
     drive(&engine);
     drop(engine);
 
     let full = mems[1].log_len();
     mems[1].truncate_log(full - 5); // mid-frame chop
-    let (_, reports) = recover::<B>(config, &dyns).unwrap();
+    let (_, reports) = recover::<P>(config, &dyns).unwrap();
     assert!(
         matches!(reports[1].tail, TailStatus::Torn { dropped, .. } if dropped > 0),
         "chop must be reported: {:?}",
@@ -213,40 +214,40 @@ fn wt() -> StmConfig {
 
 #[test]
 fn clean_shutdown_all_backends() {
-    clean_shutdown_recovers_exactly::<Stm>(&wb());
-    clean_shutdown_recovers_exactly::<Stm>(&wt());
-    clean_shutdown_recovers_exactly::<Tl2>(&Tl2Config::default());
+    clean_shutdown_recovers_exactly::<Lsa>(&wb());
+    clean_shutdown_recovers_exactly::<Lsa>(&wt());
+    clean_shutdown_recovers_exactly::<Tl2Protocol>(&Tl2Config::default());
 }
 
 #[test]
 fn torn_tail_all_backends() {
     // Several budgets so the cut lands at different frame offsets.
     for budget in [777, 1_500, 3_001, 6_000] {
-        torn_tail_recovers_shard_prefixes::<Stm>(&wb(), budget);
-        torn_tail_recovers_shard_prefixes::<Stm>(&wt(), budget);
-        torn_tail_recovers_shard_prefixes::<Tl2>(&Tl2Config::default(), budget);
+        torn_tail_recovers_shard_prefixes::<Lsa>(&wb(), budget);
+        torn_tail_recovers_shard_prefixes::<Lsa>(&wt(), budget);
+        torn_tail_recovers_shard_prefixes::<Tl2Protocol>(&Tl2Config::default(), budget);
     }
 }
 
 #[test]
 fn checkpoint_all_backends() {
-    checkpoint_then_recover::<Stm>(&wb());
-    checkpoint_then_recover::<Stm>(&wt());
-    checkpoint_then_recover::<Tl2>(&Tl2Config::default());
+    checkpoint_then_recover::<Lsa>(&wb());
+    checkpoint_then_recover::<Lsa>(&wt());
+    checkpoint_then_recover::<Tl2Protocol>(&Tl2Config::default());
 }
 
 #[test]
 fn interior_corruption_all_backends() {
-    interior_corruption_is_loud::<Stm>(&wb());
-    interior_corruption_is_loud::<Stm>(&wt());
-    interior_corruption_is_loud::<Tl2>(&Tl2Config::default());
+    interior_corruption_is_loud::<Lsa>(&wb());
+    interior_corruption_is_loud::<Lsa>(&wt());
+    interior_corruption_is_loud::<Tl2Protocol>(&Tl2Config::default());
 }
 
 #[test]
 fn chopped_tail_all_backends() {
-    chopped_tail_reports_and_recovers::<Stm>(&wb());
-    chopped_tail_reports_and_recovers::<Stm>(&wt());
-    chopped_tail_reports_and_recovers::<Tl2>(&Tl2Config::default());
+    chopped_tail_reports_and_recovers::<Lsa>(&wb());
+    chopped_tail_reports_and_recovers::<Lsa>(&wt());
+    chopped_tail_reports_and_recovers::<Tl2Protocol>(&Tl2Config::default());
 }
 
 #[test]
@@ -259,7 +260,7 @@ fn recovered_engine_keeps_working() {
     drop(engine);
 
     // First recovery; keep writing through the recovered engine.
-    let (recovered, _) = recover::<Stm>(&config, &dyns).unwrap();
+    let (recovered, _) = recover::<Lsa>(&config, &dyns).unwrap();
     for k in 0..KEYS as u64 {
         recovered.put(k, 70_000 + k).unwrap();
     }
@@ -267,7 +268,7 @@ fn recovered_engine_keeps_working() {
     drop(recovered);
 
     // Second recovery sees the post-recovery writes too.
-    let (again, _) = recover::<Stm>(&config, &dyns).unwrap();
+    let (again, _) = recover::<Lsa>(&config, &dyns).unwrap();
     assert_eq!(again.read_all(), expected);
 }
 
@@ -294,7 +295,7 @@ fn recovery_is_deterministic_across_backends() {
                 drive(&e);
             }
         }
-        let (r, _) = recover::<Stm>(&wb(), &dyns).unwrap();
+        let (r, _) = recover::<Lsa>(&wb(), &dyns).unwrap();
         states.push(r.read_all());
     }
     assert_eq!(states[0], states[1]);

@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use stm_check::{check_history, check_wal_commits, CheckOpts, History, TraceSink, WalCommit};
-use stm_engine::{DurableEngine, ShardBackend};
+use stm_engine::DurableEngine;
 use stm_wal::{CrashSwitch, GroupCommitConfig, MemStore, Recovery, WalStore};
 use tinystm::{Stm, StmConfig};
 
@@ -37,7 +37,7 @@ fn stores(switch: &Arc<CrashSwitch>) -> Vec<Arc<dyn WalStore>> {
 fn run_recorded(engine: &DurableEngine<Stm>) -> Vec<History> {
     let sinks: Vec<_> = (0..SHARDS).map(|_| TraceSink::new()).collect();
     for (i, sink) in sinks.iter().enumerate() {
-        engine.engine().shard(i).shard_attach_trace(sink);
+        engine.engine().shard(i).attach_trace(sink);
     }
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -55,7 +55,7 @@ fn run_recorded(engine: &DurableEngine<Stm>) -> Vec<History> {
         }
     });
     for i in 0..SHARDS {
-        engine.engine().shard(i).shard_detach_trace();
+        engine.engine().shard(i).detach_trace();
     }
     sinks
         .iter()

@@ -12,13 +12,14 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use stm_engine::{DurableEngine, ShardBackend, ShardHealth};
-use stm_tl2::{Tl2, Tl2Config};
+use stm_engine::{DurableEngine, ShardHealth};
+use stm_tl2::{Tl2Config, Tl2Protocol};
 use stm_wal::{
     CrashSwitch, FaultEvent, FaultKind, FaultPlan, FaultStore, GroupCommitConfig, MemStore,
     WalStore,
 };
-use tinystm::{AccessStrategy, Stm, StmConfig};
+use tinystm::stm::Lsa;
+use tinystm::{AccessStrategy, Protocol, Runtime, StmConfig};
 
 const KEYS: usize = 16;
 const OPS: u64 = 60;
@@ -50,13 +51,13 @@ fn schedule() -> impl Strategy<Value = Vec<FaultEvent>> {
 
 /// Drive a deterministic single-threaded workload over one faulty
 /// shard, rejoining on degradation, and assert the contract.
-fn check_no_acked_commit_lost<B: ShardBackend>(config: &B::Config, events: Vec<FaultEvent>) {
+fn check_no_acked_commit_lost<P: Protocol>(config: &P::Config, events: Vec<FaultEvent>) {
     let group = GroupCommitConfig::default();
     let store = FaultStore::new(
         MemStore::new(CrashSwitch::unlimited()),
         FaultPlan { events },
     );
-    let engine: DurableEngine<B> = DurableEngine::new_grouped(
+    let engine: DurableEngine<Runtime<P>> = DurableEngine::new_grouped(
         1,
         KEYS,
         config,
@@ -97,10 +98,11 @@ fn check_no_acked_commit_lost<B: ShardBackend>(config: &B::Config, events: Vec<F
 
     // Power-cycle onto a healthy store holding the surviving bytes.
     let boot = MemStore::rebooted(&*store) as Arc<dyn WalStore>;
-    let (recovered, _) = DurableEngine::<B>::recover_grouped(1, KEYS, config, vec![boot], group)
-        .unwrap_or_else(|e| {
-            panic!("recovery failed under schedule [{plan}]: {e}");
-        });
+    let (recovered, _) =
+        DurableEngine::<Runtime<P>>::recover_grouped(1, KEYS, config, vec![boot], group)
+            .unwrap_or_else(|e| {
+                panic!("recovery failed under schedule [{plan}]: {e}");
+            });
     assert_eq!(
         recovered.read_all(),
         acked,
@@ -115,14 +117,14 @@ proptest! {
 
     #[test]
     fn no_acked_commit_lost_under_random_faults(events in schedule()) {
-        check_no_acked_commit_lost::<Stm>(
+        check_no_acked_commit_lost::<Lsa>(
             &StmConfig::default().with_strategy(AccessStrategy::WriteBack),
             events.clone(),
         );
-        check_no_acked_commit_lost::<Stm>(
+        check_no_acked_commit_lost::<Lsa>(
             &StmConfig::default().with_strategy(AccessStrategy::WriteThrough),
             events.clone(),
         );
-        check_no_acked_commit_lost::<Tl2>(&Tl2Config::default(), events);
+        check_no_acked_commit_lost::<Tl2Protocol>(&Tl2Config::default(), events);
     }
 }

@@ -6,18 +6,22 @@
 //! heals a Degraded shard from memory.
 
 use std::sync::Arc;
-use stm_engine::{DurableEngine, DurableError, ShardBackend, ShardHealth, WriteError};
-use stm_tl2::{Tl2, Tl2Config};
+use stm_engine::{DurableEngine, DurableError, ShardHealth, WriteError};
+use stm_tl2::{Tl2Config, Tl2Protocol};
 use stm_wal::{
     CrashSwitch, FaultEvent, FaultKind, FaultPlan, FaultStore, GroupCommitConfig, MemStore,
     WalStore,
 };
-use tinystm::{AccessStrategy, Stm, StmConfig};
+use tinystm::stm::Lsa;
+use tinystm::{AccessStrategy, Protocol, Runtime, StmConfig};
 
 const KEYS: usize = 8;
 
 /// One shard over a [`FaultStore`] scripted with `events`.
-fn faulty_engine<B: ShardBackend>(config: &B::Config, events: Vec<FaultEvent>) -> DurableEngine<B> {
+fn faulty_engine<P: Protocol>(
+    config: &P::Config,
+    events: Vec<FaultEvent>,
+) -> DurableEngine<Runtime<P>> {
     let group = GroupCommitConfig::default();
     let mem = MemStore::new(CrashSwitch::unlimited());
     let store = FaultStore::new(mem, FaultPlan { events });
@@ -26,9 +30,9 @@ fn faulty_engine<B: ShardBackend>(config: &B::Config, events: Vec<FaultEvent>) -
 
 /// A transient burst shorter than the retry budget: every put succeeds,
 /// the shard never leaves Healthy, and the retries are counted.
-fn transient_burst_is_absorbed<B: ShardBackend>(config: &B::Config) {
+fn transient_burst_is_absorbed<P: Protocol>(config: &P::Config) {
     let group = GroupCommitConfig::default();
-    let engine = faulty_engine::<B>(
+    let engine = faulty_engine::<P>(
         config,
         vec![FaultEvent {
             at_append: 2,
@@ -48,7 +52,7 @@ fn transient_burst_is_absorbed<B: ShardBackend>(config: &B::Config) {
     let store = Arc::clone(engine.store(0));
     drop(engine);
     let (recovered, _) =
-        DurableEngine::<B>::recover_grouped(1, KEYS, config, vec![store], group).unwrap();
+        DurableEngine::<Runtime<P>>::recover_grouped(1, KEYS, config, vec![store], group).unwrap();
     assert_eq!(recovered.read_all(), expected);
 }
 
@@ -56,8 +60,8 @@ fn transient_burst_is_absorbed<B: ShardBackend>(config: &B::Config) {
 /// error (no panic), the shard degrades, later writes are rejected
 /// typed, reads keep serving, and — the store being dead — rejoin
 /// quarantines rather than silently reopening.
-fn permanent_fault_degrades_typed<B: ShardBackend>(config: &B::Config) {
-    let engine = faulty_engine::<B>(
+fn permanent_fault_degrades_typed<P: Protocol>(config: &P::Config) {
+    let engine = faulty_engine::<P>(
         config,
         vec![FaultEvent {
             at_append: 2,
@@ -103,9 +107,9 @@ fn permanent_fault_degrades_typed<B: ShardBackend>(config: &B::Config) {
 /// rolls back) but its record reached the log — in-doubt, tracked, and
 /// cleared by a successful rejoin; recovery afterwards sees exactly the
 /// acked state.
-fn sync_failure_leaves_in_doubt_and_rejoin_heals<B: ShardBackend>(config: &B::Config) {
+fn sync_failure_leaves_in_doubt_and_rejoin_heals<P: Protocol>(config: &P::Config) {
     let group = GroupCommitConfig::default();
-    let engine = faulty_engine::<B>(
+    let engine = faulty_engine::<P>(
         config,
         vec![FaultEvent {
             at_append: 1,
@@ -133,7 +137,7 @@ fn sync_failure_leaves_in_doubt_and_rejoin_heals<B: ShardBackend>(config: &B::Co
     let store = Arc::clone(engine.store(0));
     drop(engine);
     let (recovered, _) =
-        DurableEngine::<B>::recover_grouped(1, KEYS, config, vec![store], group).unwrap();
+        DurableEngine::<Runtime<P>>::recover_grouped(1, KEYS, config, vec![store], group).unwrap();
     let state = recovered.read_all();
     assert_eq!(state, expected);
     assert_eq!(state[&1], 0, "in-doubt record must not resurface");
@@ -143,8 +147,8 @@ fn sync_failure_leaves_in_doubt_and_rejoin_heals<B: ShardBackend>(config: &B::Co
 /// A transient burst longer than the retry budget fails only its batch:
 /// the put fails typed and rolls back, the shard stays Healthy (nothing
 /// reached the log), and the next put succeeds without a rejoin.
-fn exhausted_transients_fail_the_batch<B: ShardBackend>(config: &B::Config) {
-    let engine = faulty_engine::<B>(
+fn exhausted_transients_fail_the_batch<P: Protocol>(config: &P::Config) {
+    let engine = faulty_engine::<P>(
         config,
         vec![FaultEvent {
             at_append: 1,
@@ -177,28 +181,28 @@ fn wt() -> StmConfig {
 
 #[test]
 fn transient_burst_absorbed_all_backends() {
-    transient_burst_is_absorbed::<Stm>(&wb());
-    transient_burst_is_absorbed::<Stm>(&wt());
-    transient_burst_is_absorbed::<Tl2>(&Tl2Config::default());
+    transient_burst_is_absorbed::<Lsa>(&wb());
+    transient_burst_is_absorbed::<Lsa>(&wt());
+    transient_burst_is_absorbed::<Tl2Protocol>(&Tl2Config::default());
 }
 
 #[test]
 fn permanent_fault_degrades_all_backends() {
-    permanent_fault_degrades_typed::<Stm>(&wb());
-    permanent_fault_degrades_typed::<Stm>(&wt());
-    permanent_fault_degrades_typed::<Tl2>(&Tl2Config::default());
+    permanent_fault_degrades_typed::<Lsa>(&wb());
+    permanent_fault_degrades_typed::<Lsa>(&wt());
+    permanent_fault_degrades_typed::<Tl2Protocol>(&Tl2Config::default());
 }
 
 #[test]
 fn sync_failure_in_doubt_then_rejoin_all_backends() {
-    sync_failure_leaves_in_doubt_and_rejoin_heals::<Stm>(&wb());
-    sync_failure_leaves_in_doubt_and_rejoin_heals::<Stm>(&wt());
-    sync_failure_leaves_in_doubt_and_rejoin_heals::<Tl2>(&Tl2Config::default());
+    sync_failure_leaves_in_doubt_and_rejoin_heals::<Lsa>(&wb());
+    sync_failure_leaves_in_doubt_and_rejoin_heals::<Lsa>(&wt());
+    sync_failure_leaves_in_doubt_and_rejoin_heals::<Tl2Protocol>(&Tl2Config::default());
 }
 
 #[test]
 fn exhausted_transients_fail_the_batch_all_backends() {
-    exhausted_transients_fail_the_batch::<Stm>(&wb());
-    exhausted_transients_fail_the_batch::<Stm>(&wt());
-    exhausted_transients_fail_the_batch::<Tl2>(&Tl2Config::default());
+    exhausted_transients_fail_the_batch::<Lsa>(&wb());
+    exhausted_transients_fail_the_batch::<Lsa>(&wt());
+    exhausted_transients_fail_the_batch::<Tl2Protocol>(&Tl2Config::default());
 }

@@ -36,10 +36,11 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use stm_check::{check_wal_commits, TraceSink, WalCommit};
-use stm_engine::{DurableEngine, ShardBackend};
-use stm_tl2::{Tl2, Tl2Config};
+use stm_engine::DurableEngine;
+use stm_tl2::{Tl2Config, Tl2Protocol};
 use stm_wal::{CrashSwitch, GroupCommitConfig, MemStore, Recovery, StoreError, WalStore};
-use tinystm::{AccessStrategy, Stm, StmConfig};
+use tinystm::stm::Lsa;
+use tinystm::{AccessStrategy, Protocol, Runtime, Stm, StmConfig};
 
 const SHARDS: usize = 2;
 const THREADS: usize = 4;
@@ -68,15 +69,15 @@ fn wal_commits(report: &Recovery) -> Vec<WalCommit> {
 /// grouped engine into a byte-budget power cut, reboot, recover
 /// (grouped again), and hold the acked-survival and phantom-freedom
 /// obligations.
-fn crash_matrix_run<B: ShardBackend>(config: &B::Config) {
+fn crash_matrix_run<P: Protocol>(config: &P::Config) {
     let group = GroupCommitConfig::default();
     let switch = CrashSwitch::after_bytes(7_000);
     let dyns = stores(&switch);
-    let engine: DurableEngine<B> =
+    let engine: DurableEngine<Runtime<P>> =
         DurableEngine::new_grouped(SHARDS, KEYS, config, dyns.clone(), group).unwrap();
     let sinks: Vec<_> = (0..SHARDS).map(|_| TraceSink::new()).collect();
     for (i, sink) in sinks.iter().enumerate() {
-        engine.engine().shard(i).shard_attach_trace(sink);
+        engine.engine().shard(i).attach_trace(sink);
     }
 
     // Each thread owns keys [t*KPT, (t+1)*KPT) and writes strictly
@@ -119,7 +120,7 @@ fn crash_matrix_run<B: ShardBackend>(config: &B::Config) {
     assert!(!acked.is_empty(), "the cut landed before any ack");
 
     for i in 0..SHARDS {
-        engine.engine().shard(i).shard_detach_trace();
+        engine.engine().shard(i).detach_trace();
     }
     let histories: Vec<_> = sinks
         .iter()
@@ -134,7 +135,8 @@ fn crash_matrix_run<B: ShardBackend>(config: &B::Config) {
         .map(|s| MemStore::rebooted(s.as_ref()) as Arc<dyn WalStore>)
         .collect();
     let (recovered, reports) =
-        DurableEngine::<B>::recover_grouped(SHARDS, KEYS, config, rebooted, group).unwrap();
+        DurableEngine::<Runtime<P>>::recover_grouped(SHARDS, KEYS, config, rebooted, group)
+            .unwrap();
 
     // No acked commit lost; no value from the future.
     let state = recovered.read_all();
@@ -168,17 +170,17 @@ fn crash_matrix_run<B: ShardBackend>(config: &B::Config) {
 
 #[test]
 fn crash_mid_batch_loses_no_acked_commit_wb() {
-    crash_matrix_run::<Stm>(&StmConfig::default().with_strategy(AccessStrategy::WriteBack));
+    crash_matrix_run::<Lsa>(&StmConfig::default().with_strategy(AccessStrategy::WriteBack));
 }
 
 #[test]
 fn crash_mid_batch_loses_no_acked_commit_wt() {
-    crash_matrix_run::<Stm>(&StmConfig::default().with_strategy(AccessStrategy::WriteThrough));
+    crash_matrix_run::<Lsa>(&StmConfig::default().with_strategy(AccessStrategy::WriteThrough));
 }
 
 #[test]
 fn crash_mid_batch_loses_no_acked_commit_tl2() {
-    crash_matrix_run::<Tl2>(&Tl2Config::default());
+    crash_matrix_run::<Tl2Protocol>(&Tl2Config::default());
 }
 
 /// A store whose appends take real time: while the leader of one

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use stm_api::mem::WordBlock;
 use stm_api::{TmTx, TxKind};
 use stm_check::{check_history, CheckOpts, TraceSink};
-use stm_engine::{CrossShardPolicy, ShardBackend, ShardedEngine};
+use stm_engine::{CrossShardPolicy, ShardedEngine};
 use tinystm::{Stm, StmConfig};
 
 /// Two keys on different shards plus a third on the first key's shard.
@@ -36,7 +36,7 @@ fn two_phase_histories_check_clean_per_shard() {
         .with_policy(CrossShardPolicy::TwoPhase);
     let sinks: Vec<_> = (0..SHARDS).map(|_| TraceSink::new()).collect();
     for (i, sink) in sinks.iter().enumerate() {
-        engine.shard(i).shard_attach_trace(sink);
+        engine.shard(i).attach_trace(sink);
     }
 
     let (a, b, c) = split_keys(&engine);
@@ -118,7 +118,7 @@ fn two_phase_histories_check_clean_per_shard() {
 
     assert_eq!(cell_a.read(0) + cell_b.read(0), 500);
     for (i, sink) in sinks.iter().enumerate() {
-        engine.shard(i).shard_detach_trace();
+        engine.shard(i).detach_trace();
         let history = sink.drain_history().expect("recording stayed sound");
         assert!(
             history.txns().any(|t| t.commit_version().is_some()),

@@ -18,14 +18,20 @@
 //!   stays under a bound generous enough for CI yet far below "the
 //!   checkpoint wedged the queue" territory.
 
+#[path = "../../core/tests/support/deadline.rs"]
+mod deadline;
+
+use deadline::{check_deadline, deadline, join_by};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use stm_check::{check_wal_commits, TraceSink, WalCommit};
-use stm_engine::{DurableEngine, ServiceConfig, ShardBackend, StmService};
-use stm_tl2::{Tl2, Tl2Config};
+use stm_engine::{DurableEngine, ServiceConfig, StmService};
+use stm_telemetry::flight;
+use stm_tl2::{Tl2Config, Tl2Protocol};
 use stm_wal::{GroupCommitConfig, MemStore, Recovery, WalStore};
-use tinystm::{AccessStrategy, Stm, StmConfig};
+use tinystm::stm::Lsa;
+use tinystm::{AccessStrategy, Protocol, Runtime, StmConfig};
 
 const SHARDS: usize = 2;
 const TENANTS: usize = 2;
@@ -44,12 +50,12 @@ fn wal_commits(report: &Recovery) -> Vec<WalCommit> {
         .collect()
 }
 
-fn checkpoint_under_load<B: ShardBackend + 'static>(config: &B::Config) {
+fn checkpoint_under_load<P: Protocol>(config: &P::Config) {
     let stores: Vec<Arc<dyn WalStore>> = (0..SHARDS)
         .map(|_| MemStore::healthy() as Arc<dyn WalStore>)
         .collect();
     let engine = Arc::new(
-        DurableEngine::<B>::new_grouped(
+        DurableEngine::<Runtime<P>>::new_grouped(
             SHARDS,
             KEYS,
             config,
@@ -60,7 +66,7 @@ fn checkpoint_under_load<B: ShardBackend + 'static>(config: &B::Config) {
     );
     let sinks: Vec<_> = (0..SHARDS).map(|_| TraceSink::new()).collect();
     for (i, sink) in sinks.iter().enumerate() {
-        engine.engine().shard(i).shard_attach_trace(sink);
+        engine.engine().shard(i).attach_trace(sink);
     }
     let svc = Arc::new(StmService::start(
         Arc::clone(&engine),
@@ -96,9 +102,11 @@ fn checkpoint_under_load<B: ShardBackend + 'static>(config: &B::Config) {
     // by one while the other shard keeps serving. Each round waits for
     // fresh submissions first, so a fast checkpoint loop cannot finish
     // before the writers have produced anything to race against.
+    let deadline = deadline();
     let mut seen = 0u64;
     for _ in 0..CHECKPOINT_ROUNDS {
         while svc.accepted() < seen + 20 {
+            check_deadline(deadline, "checkpoint_under_load: waiting for traffic");
             std::thread::yield_now();
         }
         seen = svc.accepted();
@@ -106,7 +114,7 @@ fn checkpoint_under_load<B: ShardBackend + 'static>(config: &B::Config) {
     }
     stop.store(true, Ordering::Relaxed);
     let acked: Vec<(usize, BTreeMap<u64, u64>)> =
-        writers.into_iter().map(|w| w.join().unwrap()).collect();
+        join_by(writers, deadline, "checkpoint_under_load: writers");
 
     // No acked write lost or reordered: reads serve the last ack.
     for (tenant, keys) in &acked {
@@ -139,7 +147,7 @@ fn checkpoint_under_load<B: ShardBackend + 'static>(config: &B::Config) {
 
     svc.stop();
     for i in 0..SHARDS {
-        engine.engine().shard(i).shard_detach_trace();
+        engine.engine().shard(i).detach_trace();
     }
     let histories: Vec<_> = sinks
         .iter()
@@ -153,7 +161,7 @@ fn checkpoint_under_load<B: ShardBackend + 'static>(config: &B::Config) {
     // state exactly, and the tail is phantom/duplicate-free against
     // the history (complete=false: the checkpoints truncated the
     // already-snapshotted prefix out of the log).
-    let (recovered, reports) = DurableEngine::<B>::recover_grouped(
+    let (recovered, reports) = DurableEngine::<Runtime<P>>::recover_grouped(
         SHARDS,
         KEYS,
         config,
@@ -173,15 +181,15 @@ fn checkpoint_under_load<B: ShardBackend + 'static>(config: &B::Config) {
 
 #[test]
 fn checkpoint_under_load_wb() {
-    checkpoint_under_load::<Stm>(&StmConfig::default().with_strategy(AccessStrategy::WriteBack));
+    checkpoint_under_load::<Lsa>(&StmConfig::default().with_strategy(AccessStrategy::WriteBack));
 }
 
 #[test]
 fn checkpoint_under_load_wt() {
-    checkpoint_under_load::<Stm>(&StmConfig::default().with_strategy(AccessStrategy::WriteThrough));
+    checkpoint_under_load::<Lsa>(&StmConfig::default().with_strategy(AccessStrategy::WriteThrough));
 }
 
 #[test]
 fn checkpoint_under_load_tl2() {
-    checkpoint_under_load::<Tl2>(&Tl2Config::default());
+    checkpoint_under_load::<Tl2Protocol>(&Tl2Config::default());
 }

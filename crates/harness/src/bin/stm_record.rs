@@ -79,8 +79,9 @@
 use std::process::ExitCode;
 use stm_harness::record::{
     run_recorded, run_recorded_with_metrics, run_sampled_windows, run_sampled_windows_with_metrics,
-    RecBackend, RecWorkload, RecordOpts,
+    RecWorkload, RecordOpts,
 };
+use stm_harness::Backend;
 use stm_harness::MetricsReporter;
 use tinystm::CmPolicy;
 
@@ -167,8 +168,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--backend" => {
                 let v = value("--backend")?;
-                opts.backend =
-                    RecBackend::parse(v).ok_or_else(|| format!("unknown backend {v}"))?;
+                opts.backend = Backend::parse(v).ok_or_else(|| format!("unknown backend {v}"))?;
             }
             "--threads" => {
                 opts.threads = value("--threads")?
@@ -348,15 +348,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 /// [`stm_harness::service_load`].
 #[cfg(feature = "durable")]
 fn service_mode(args: &Args) -> ExitCode {
-    use stm_harness::durable::DurBackend;
     use stm_harness::service_load::{run_service, ServiceOpts};
-    let backend = match args.opts.backend {
-        RecBackend::TinyWb => DurBackend::WriteBack,
-        RecBackend::TinyWt => DurBackend::WriteThrough,
-        RecBackend::Tl2 => DurBackend::Tl2,
-    };
     let opts = ServiceOpts {
-        backend,
+        backend: args.opts.backend,
         shards: args.shards,
         clients: args.clients,
         keys_per_tenant: args.opts.size as usize,
@@ -409,14 +403,9 @@ fn service_mode(args: &Args) -> ExitCode {
 /// via [`stm_harness::durable`].
 #[cfg(feature = "durable")]
 fn durable_mode(args: &Args) -> ExitCode {
-    use stm_harness::durable::{run_durable, DurBackend, DurableOpts};
-    let backend = match args.opts.backend {
-        RecBackend::TinyWb => DurBackend::WriteBack,
-        RecBackend::TinyWt => DurBackend::WriteThrough,
-        RecBackend::Tl2 => DurBackend::Tl2,
-    };
+    use stm_harness::durable::{run_durable, DurableOpts};
     let opts = DurableOpts {
-        backend,
+        backend: args.opts.backend,
         shards: args.shards,
         keys: args.opts.size as usize,
         threads: args.opts.threads,
@@ -495,14 +484,8 @@ fn durable_mode(args: &Args) -> ExitCode {
 #[cfg(feature = "durable")]
 fn chaos_mode(args: &Args) -> ExitCode {
     use stm_harness::chaos::{run_chaos, ChaosOpts};
-    use stm_harness::durable::DurBackend;
-    let backend = match args.opts.backend {
-        RecBackend::TinyWb => DurBackend::WriteBack,
-        RecBackend::TinyWt => DurBackend::WriteThrough,
-        RecBackend::Tl2 => DurBackend::Tl2,
-    };
     let mut opts = ChaosOpts {
-        backend,
+        backend: args.opts.backend,
         shards: args.shards,
         keys: args.opts.size as usize,
         threads: args.opts.threads,

@@ -23,14 +23,15 @@
 //! the seed and every shard's schedule on stderr; `STM_CHAOS_SEED`
 //! overrides the configured seed to replay a reported failure.
 
-use crate::durable::DurBackend;
+use crate::backend::Backend;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use stm_engine::{DurableEngine, ShardBackend, ShardHealth, WriteError};
-use stm_tl2::{Tl2, Tl2Config};
+use stm_engine::{DurableEngine, ShardHealth, WriteError};
+use stm_tl2::{Tl2Config, Tl2Protocol};
 use stm_wal::{CrashSwitch, FaultPlan, FaultStore, GroupCommitConfig, MemStore, WalStore};
-use tinystm::{AccessStrategy, Stm, StmConfig};
+use tinystm::stm::Lsa;
+use tinystm::{AccessStrategy, Protocol, Runtime, StmConfig};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +40,7 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct ChaosOpts {
     /// Backend to run.
-    pub backend: DurBackend,
+    pub backend: Backend,
     /// Shard count.
     pub shards: usize,
     /// Key-space size.
@@ -58,7 +59,7 @@ pub struct ChaosOpts {
 impl Default for ChaosOpts {
     fn default() -> Self {
         ChaosOpts {
-            backend: DurBackend::WriteBack,
+            backend: Backend::TinyWb,
             shards: 2,
             keys: 64,
             threads: 2,
@@ -128,15 +129,15 @@ pub fn run_chaos(opts: &ChaosOpts) -> Result<ChaosReport, String> {
         opts.seed = parse_seed(&s).ok_or_else(|| format!("STM_CHAOS_SEED: bad seed {s:?}"))?;
     }
     match opts.backend {
-        DurBackend::WriteBack => run_one::<Stm>(
+        Backend::TinyWb => run_one::<Lsa>(
             &opts,
             &StmConfig::default().with_strategy(AccessStrategy::WriteBack),
         ),
-        DurBackend::WriteThrough => run_one::<Stm>(
+        Backend::TinyWt => run_one::<Lsa>(
             &opts,
             &StmConfig::default().with_strategy(AccessStrategy::WriteThrough),
         ),
-        DurBackend::Tl2 => run_one::<Tl2>(&opts, &Tl2Config::default()),
+        Backend::Tl2 => run_one::<Tl2Protocol>(&opts, &Tl2Config::default()),
     }
 }
 
@@ -149,7 +150,7 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-fn run_one<B: ShardBackend>(opts: &ChaosOpts, config: &B::Config) -> Result<ChaosReport, String> {
+fn run_one<P: Protocol>(opts: &ChaosOpts, config: &P::Config) -> Result<ChaosReport, String> {
     let group = GroupCommitConfig::default();
     // Deterministic per-shard schedules: positions are append-attempt
     // counts on that shard's store. The horizon targets the log's
@@ -175,7 +176,7 @@ fn run_one<B: ShardBackend>(opts: &ChaosOpts, config: &B::Config) -> Result<Chao
         .iter()
         .map(|f| Arc::clone(f) as Arc<dyn WalStore>)
         .collect();
-    let engine: DurableEngine<B> =
+    let engine: DurableEngine<Runtime<P>> =
         DurableEngine::new_grouped(opts.shards, opts.keys, config, dyns, group)
             .map_err(|e| format!("chaos engine: {e}"))?;
 
@@ -185,7 +186,7 @@ fn run_one<B: ShardBackend>(opts: &ChaosOpts, config: &B::Config) -> Result<Chao
         .collect();
     #[cfg(feature = "record")]
     for (i, sink) in sinks.iter().enumerate() {
-        engine.engine().shard(i).shard_attach_trace(sink);
+        engine.engine().shard(i).attach_trace(sink);
     }
 
     let acked = AtomicU64::new(0);
@@ -250,7 +251,7 @@ fn run_one<B: ShardBackend>(opts: &ChaosOpts, config: &B::Config) -> Result<Chao
     }
     #[cfg(feature = "record")]
     for i in 0..opts.shards {
-        engine.engine().shard(i).shard_detach_trace();
+        engine.engine().shard(i).detach_trace();
     }
     let quarantined = (0..opts.shards)
         .filter(|&i| engine.health(i) == ShardHealth::Quarantined)
@@ -285,7 +286,8 @@ fn run_one<B: ShardBackend>(opts: &ChaosOpts, config: &B::Config) -> Result<Chao
         .map(|s| MemStore::rebooted(&**s) as Arc<dyn WalStore>)
         .collect();
     let mut failures = Vec::new();
-    match DurableEngine::<B>::recover_grouped(opts.shards, opts.keys, config, boot, group) {
+    match DurableEngine::<Runtime<P>>::recover_grouped(opts.shards, opts.keys, config, boot, group)
+    {
         Err(e) => failures.push(format!("recovery failed: {e}")),
         Ok((recovered, reports)) => {
             // The core contract: no acknowledged commit is lost. The
@@ -382,11 +384,7 @@ mod tests {
 
     #[test]
     fn chaos_contract_holds_on_every_backend() {
-        for backend in [
-            DurBackend::WriteBack,
-            DurBackend::WriteThrough,
-            DurBackend::Tl2,
-        ] {
+        for backend in Backend::ALL {
             let report = run_chaos(&ChaosOpts {
                 backend,
                 ops: 800,

@@ -17,58 +17,27 @@
 //!   ([`stm_check::check_wal_commits`]; complete equality when the run
 //!   was not crashed) and the history itself must check opaque.
 
+use crate::backend::Backend;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use stm_engine::{DurableEngine, ShardBackend};
-use stm_tl2::{Tl2, Tl2Config};
+use stm_engine::DurableEngine;
+use stm_tl2::{Tl2Config, Tl2Protocol};
 use stm_wal::{CrashSwitch, GroupCommitConfig, MemStore, WalStore};
 
 #[cfg(feature = "record")]
 use stm_wal::Recovery;
-use tinystm::{AccessStrategy, Stm, StmConfig};
+use tinystm::stm::Lsa;
+use tinystm::{AccessStrategy, Protocol, Runtime, StmConfig};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Backend selector for the durable driver (mirrors the record-mode
-/// labels: `wb` | `wt` | `tl2`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DurBackend {
-    /// TinySTM, write-back.
-    WriteBack,
-    /// TinySTM, write-through.
-    WriteThrough,
-    /// TL2.
-    Tl2,
-}
-
-impl DurBackend {
-    /// Parse a CLI label.
-    pub fn parse(s: &str) -> Option<DurBackend> {
-        match s {
-            "wb" => Some(DurBackend::WriteBack),
-            "wt" => Some(DurBackend::WriteThrough),
-            "tl2" => Some(DurBackend::Tl2),
-            _ => None,
-        }
-    }
-
-    /// Label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            DurBackend::WriteBack => "wb",
-            DurBackend::WriteThrough => "wt",
-            DurBackend::Tl2 => "tl2",
-        }
-    }
-}
 
 /// Options for one durable run.
 #[derive(Debug, Clone)]
 pub struct DurableOpts {
     /// Backend to run.
-    pub backend: DurBackend,
+    pub backend: Backend,
     /// Shard count.
     pub shards: usize,
     /// Key-space size.
@@ -95,7 +64,7 @@ pub struct DurableOpts {
 impl Default for DurableOpts {
     fn default() -> Self {
         DurableOpts {
-            backend: DurBackend::WriteBack,
+            backend: Backend::TinyWb,
             shards: 2,
             keys: 64,
             threads: 2,
@@ -157,15 +126,15 @@ pub fn run_durable(opts: &DurableOpts) -> Result<DurableReport, String> {
         return Err("--durable needs shards, keys and threads >= 1".to_string());
     }
     match opts.backend {
-        DurBackend::WriteBack => run_one::<Stm>(
+        Backend::TinyWb => run_one::<Lsa>(
             opts,
             &StmConfig::default().with_strategy(AccessStrategy::WriteBack),
         ),
-        DurBackend::WriteThrough => run_one::<Stm>(
+        Backend::TinyWt => run_one::<Lsa>(
             opts,
             &StmConfig::default().with_strategy(AccessStrategy::WriteThrough),
         ),
-        DurBackend::Tl2 => run_one::<Tl2>(opts, &Tl2Config::default()),
+        Backend::Tl2 => run_one::<Tl2Protocol>(opts, &Tl2Config::default()),
     }
 }
 
@@ -175,10 +144,7 @@ fn stores(switch: &Arc<CrashSwitch>, shards: usize) -> Vec<Arc<dyn WalStore>> {
         .collect()
 }
 
-fn run_one<B: ShardBackend>(
-    opts: &DurableOpts,
-    config: &B::Config,
-) -> Result<DurableReport, String> {
+fn run_one<P: Protocol>(opts: &DurableOpts, config: &P::Config) -> Result<DurableReport, String> {
     let group = GroupCommitConfig::default();
     let switch = CrashSwitch::unlimited();
     let file_dirs: Option<Vec<std::path::PathBuf>> = opts.file_store.as_ref().map(|root| {
@@ -197,7 +163,7 @@ fn run_one<B: ShardBackend>(
             .collect::<Result<_, _>>()?,
         None => stores(&switch, opts.shards),
     };
-    let engine: DurableEngine<B> =
+    let engine: DurableEngine<Runtime<P>> =
         DurableEngine::new_grouped(opts.shards, opts.keys, config, dyns.clone(), group)
             .map_err(|e| format!("durable engine: {e}"))?;
 
@@ -207,7 +173,7 @@ fn run_one<B: ShardBackend>(
         .collect();
     #[cfg(feature = "record")]
     for (i, sink) in sinks.iter().enumerate() {
-        engine.engine().shard(i).shard_attach_trace(sink);
+        engine.engine().shard(i).attach_trace(sink);
     }
 
     // The workload: every thread hammers puts (plus interleaved gets)
@@ -240,7 +206,7 @@ fn run_one<B: ShardBackend>(
 
     #[cfg(feature = "record")]
     for i in 0..opts.shards {
-        engine.engine().shard(i).shard_detach_trace();
+        engine.engine().shard(i).detach_trace();
     }
     let pre_state = engine.read_all();
     let fault_stats = engine.fault_stats();
@@ -269,7 +235,7 @@ fn run_one<B: ShardBackend>(
             .collect(),
     };
     let (recovered, reports) =
-        DurableEngine::<B>::recover_grouped(opts.shards, opts.keys, config, boot, group)
+        DurableEngine::<Runtime<P>>::recover_grouped(opts.shards, opts.keys, config, boot, group)
             .map_err(|e| format!("recovery failed: {e}"))?;
     let recovered_records: usize = reports.iter().map(|r| r.records.len()).sum();
     let torn_shards = reports.iter().filter(|r| !r.tail.is_clean()).count();
@@ -279,7 +245,7 @@ fn run_one<B: ShardBackend>(
         verify_state(&recovered, &pre_state, crashed, &mut failures);
         #[cfg(feature = "record")]
         verify_replay(&sinks, &reports, crashed, &mut failures);
-        verify_liveness::<B>(recovered, opts, config, &mut failures);
+        verify_liveness::<P>(recovered, opts, config, &mut failures);
     }
 
     Ok(DurableReport {
@@ -297,8 +263,8 @@ fn run_one<B: ShardBackend>(
 /// a crash the recovered state is a per-shard prefix, so only the
 /// weaker containment applies: every recovered value was either the
 /// initial zero or really written.
-fn verify_state<B: ShardBackend>(
-    recovered: &DurableEngine<B>,
+fn verify_state<P: Protocol>(
+    recovered: &DurableEngine<Runtime<P>>,
     pre_state: &BTreeMap<u64, u64>,
     crashed: bool,
     failures: &mut Vec<String>,
@@ -319,10 +285,10 @@ fn verify_state<B: ShardBackend>(
 /// The recovered engine must keep accepting commits, and those commits
 /// must survive a second recovery — durability is a property of every
 /// incarnation, not just the first.
-fn verify_liveness<B: ShardBackend>(
-    recovered: DurableEngine<B>,
+fn verify_liveness<P: Protocol>(
+    recovered: DurableEngine<Runtime<P>>,
     opts: &DurableOpts,
-    config: &B::Config,
+    config: &P::Config,
     failures: &mut Vec<String>,
 ) {
     let group = GroupCommitConfig::default();
@@ -334,7 +300,8 @@ fn verify_liveness<B: ShardBackend>(
     }
     let expected = recovered.read_all();
     drop(recovered);
-    match DurableEngine::<B>::recover_grouped(opts.shards, opts.keys, config, dyns, group) {
+    match DurableEngine::<Runtime<P>>::recover_grouped(opts.shards, opts.keys, config, dyns, group)
+    {
         Err(e) => failures.push(format!("second recovery failed: {e}")),
         Ok((again, _)) => {
             if again.read_all() != expected {
@@ -386,11 +353,7 @@ mod tests {
 
     #[test]
     fn clean_run_checks_out_on_every_backend() {
-        for backend in [
-            DurBackend::WriteBack,
-            DurBackend::WriteThrough,
-            DurBackend::Tl2,
-        ] {
+        for backend in Backend::ALL {
             let report = run_durable(&DurableOpts {
                 backend,
                 ops: 300,
@@ -441,13 +404,5 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
         }
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn parse_backend_labels() {
-        assert_eq!(DurBackend::parse("wb"), Some(DurBackend::WriteBack));
-        assert_eq!(DurBackend::parse("wt"), Some(DurBackend::WriteThrough));
-        assert_eq!(DurBackend::parse("tl2"), Some(DurBackend::Tl2));
-        assert_eq!(DurBackend::parse("bogus"), None);
     }
 }

@@ -7,6 +7,8 @@
 //! abort rates per second, over configurable thread counts, sizes, and
 //! update percentages.
 //!
+//! * [`Backend`] — the paper's three backends (TinySTM write-back and
+//!   write-through, TL2), named once for the drivers, benches and CLI;
 //! * [`driver`] — thread spawning + windowed measurement (closed-loop);
 //! * [`open_loop`] — arrival-rate scheduled requests with per-request
 //!   latency measured from the scheduled arrival (queueing included);
@@ -35,6 +37,7 @@
 //!   (per-shard group commit) with an optional mid-run power cut, a
 //!   power-cycle, and the acked-survival verification.
 
+pub mod backend;
 #[cfg(feature = "durable")]
 pub mod chaos;
 pub mod driver;
@@ -50,18 +53,19 @@ pub mod service_load;
 pub mod table;
 pub mod vacation_mix;
 
+pub use backend::Backend;
 #[cfg(feature = "durable")]
 pub use chaos::{run_chaos, ChaosOpts, ChaosReport};
 pub use driver::{drive, drive_with_coordinator, MeasureOpts, Measurement};
 #[cfg(feature = "durable")]
-pub use durable::{run_durable, DurBackend, DurableOpts, DurableReport};
+pub use durable::{run_durable, DurableOpts, DurableReport};
 pub use intset::{populate, run_intset, run_overwrite, IntSetOp, IntSetWorkload};
 pub use metrics::MetricsReporter;
 pub use open_loop::{run_open_loop, LatencyRecorder, OpenLoopOpts, OpenLoopResult};
 #[cfg(feature = "record")]
 pub use record::{
     run_recorded, run_recorded_with_metrics, run_sampled_windows, run_sampled_windows_with_metrics,
-    RecBackend, RecWorkload, RecordOpts, RecordOutcome, SampledOutcome, WindowReport,
+    RecWorkload, RecordOpts, RecordOutcome, SampledOutcome, WindowReport,
 };
 #[cfg(feature = "durable")]
 pub use service_load::{run_service, ServiceOpts, ServiceReport};

@@ -9,6 +9,7 @@
 //! seeing the whole run (a read of version `v` is matched to the commit
 //! that produced it).
 
+use crate::backend::Backend;
 use crate::driver::{MeasureOpts, Measurement};
 use crate::intset::{run_intset, run_overwrite, IntSetWorkload};
 use crate::metrics::MetricsReporter;
@@ -20,48 +21,15 @@ use stm_api::TmHandle;
 use stm_check::{CheckOpts, History, RecordingError, TraceSink};
 use stm_structures::{LinkedList, RbTree};
 use stm_tl2::{Tl2, Tl2Config};
-use tinystm::{AccessStrategy, CmPolicy, Stm, StmConfig};
+use tinystm::{AccessStrategy, CmPolicy, Protocol, Runtime, Stm, StmConfig};
 
-/// The recordable backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecBackend {
-    /// TinySTM, write-back.
-    TinyWb,
-    /// TinySTM, write-through.
-    TinyWt,
-    /// TL2.
-    Tl2,
-}
-
-impl RecBackend {
-    /// All three backends (the CI matrix).
-    pub const ALL: [RecBackend; 3] = [RecBackend::TinyWb, RecBackend::TinyWt, RecBackend::Tl2];
-
-    /// Series label, matching the bench output.
-    pub fn label(self) -> &'static str {
-        match self {
-            RecBackend::TinyWb => "tinystm-wb",
-            RecBackend::TinyWt => "tinystm-wt",
-            RecBackend::Tl2 => "tl2",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(name: &str) -> Option<RecBackend> {
-        match name {
-            "wb" | "tinystm-wb" => Some(RecBackend::TinyWb),
-            "wt" | "tinystm-wt" => Some(RecBackend::TinyWt),
-            "tl2" => Some(RecBackend::Tl2),
-            _ => None,
-        }
-    }
-
+impl Backend {
     /// Checker options appropriate for this backend (write-through
     /// rollback may publish inflated versions on incarnation overflow;
     /// see `stm_check`'s module docs).
     pub fn check_opts(self) -> CheckOpts {
         CheckOpts {
-            allow_version_inflation: matches!(self, RecBackend::TinyWt),
+            allow_version_inflation: matches!(self, Backend::TinyWt),
             ..CheckOpts::default()
         }
     }
@@ -107,7 +75,7 @@ impl RecWorkload {
 #[derive(Debug, Clone, Copy)]
 pub struct RecordOpts {
     /// Backend under test.
-    pub backend: RecBackend,
+    pub backend: Backend,
     /// Workload to drive.
     pub workload: RecWorkload,
     /// Worker threads.
@@ -134,7 +102,7 @@ pub struct RecordOpts {
 impl Default for RecordOpts {
     fn default() -> RecordOpts {
         RecordOpts {
-            backend: RecBackend::TinyWb,
+            backend: Backend::TinyWb,
             workload: RecWorkload::IntsetRbtree,
             threads: 2,
             duration_ms: 50,
@@ -271,70 +239,52 @@ pub fn run_recorded_with_metrics(opts: &RecordOpts, reporter: &MetricsReporter) 
     run_recorded_inner(opts, Some(reporter))
 }
 
+/// TinySTM in `opts.backend`'s access strategy, and the alternate
+/// geometry mid-run reconfigures switch to (different mask *and*
+/// shift, so stripes really renumber).
+fn tiny(opts: &RecordOpts) -> (Stm, StmConfig) {
+    let strategy = if opts.backend == Backend::TinyWb {
+        AccessStrategy::WriteBack
+    } else {
+        AccessStrategy::WriteThrough
+    };
+    let base = StmConfig::default()
+        .with_strategy(strategy)
+        .with_cm(opts.cm);
+    let stm = Stm::new(base).expect("record config valid");
+    (stm, base.with_locks_log2(12).with_shifts(1))
+}
+
+/// [`tiny`]'s TL2 counterpart.
+fn tl2(opts: &RecordOpts) -> (Tl2, Tl2Config) {
+    let base = Tl2Config::default().with_cm(opts.cm);
+    let tl2 = Tl2::new(base).expect("record config valid");
+    (tl2, base.with_locks_log2(12).with_shifts(1))
+}
+
+/// Enable `tm`'s hot-path telemetry and register it on `reporter`.
+fn register<P: Protocol>(tm: &Runtime<P>, reporter: Option<&MetricsReporter>) {
+    if let Some(rep) = reporter {
+        tm.telemetry().set_enabled(true);
+        rep.register(Arc::new(tm.clone()));
+    }
+}
+
+/// The `i`-th mid-run reconfigure: alternate between `alt` and the
+/// geometry `tm` started with.
+fn alternate<P: Protocol>(tm: &Runtime<P>, alt: P::Config) -> impl Fn(usize) + Sync + '_ {
+    let base = tm.config();
+    move |i| {
+        let cfg = if i % 2 == 0 { alt } else { base };
+        tm.reconfigure(cfg).expect("alternate config valid");
+    }
+}
+
 fn run_recorded_inner(opts: &RecordOpts, reporter: Option<&MetricsReporter>) -> RecordOutcome {
     let sink = opts.record.then(TraceSink::new);
     let measurement = match opts.backend {
-        RecBackend::TinyWb | RecBackend::TinyWt => {
-            let strategy = if opts.backend == RecBackend::TinyWb {
-                AccessStrategy::WriteBack
-            } else {
-                AccessStrategy::WriteThrough
-            };
-            let base = StmConfig::default()
-                .with_strategy(strategy)
-                .with_cm(opts.cm);
-            let stm = Stm::new(base).expect("record config valid");
-            if let Some(rep) = reporter {
-                stm.telemetry().set_enabled(true);
-                rep.register(Arc::new(stm.clone()));
-            }
-            if let Some(sink) = &sink {
-                stm.attach_trace(sink);
-            }
-            let m = run_with_reconfigures(
-                opts.reconfigures,
-                run_span(opts),
-                |i| {
-                    // Alternate between two geometries that really
-                    // renumber stripes (different mask *and* shift).
-                    let cfg = if i % 2 == 0 {
-                        base.with_locks_log2(12).with_shifts(1)
-                    } else {
-                        base
-                    };
-                    stm.reconfigure(cfg).expect("alternate config valid");
-                },
-                || run_workload(stm.clone(), opts),
-            );
-            stm.detach_trace();
-            m
-        }
-        RecBackend::Tl2 => {
-            let base = Tl2Config::default().with_cm(opts.cm);
-            let tl2 = Tl2::new(base).expect("record config valid");
-            if let Some(rep) = reporter {
-                tl2.telemetry().set_enabled(true);
-                rep.register(Arc::new(tl2.clone()));
-            }
-            if let Some(sink) = &sink {
-                tl2.attach_trace(sink);
-            }
-            let m = run_with_reconfigures(
-                opts.reconfigures,
-                run_span(opts),
-                |i| {
-                    let cfg = if i % 2 == 0 {
-                        base.with_locks_log2(12).with_shifts(1)
-                    } else {
-                        base
-                    };
-                    tl2.reconfigure(cfg).expect("alternate config valid");
-                },
-                || run_workload(tl2.clone(), opts),
-            );
-            tl2.detach_trace();
-            m
-        }
+        Backend::Tl2 => recorded_on(tl2(opts), opts, reporter, sink.as_ref()),
+        Backend::TinyWb | Backend::TinyWt => recorded_on(tiny(opts), opts, reporter, sink.as_ref()),
     };
     // Safe drain: every workload driver joins its worker scope before
     // returning, so the close-and-wait handshake completes immediately;
@@ -346,6 +296,27 @@ fn run_recorded_inner(opts: &RecordOpts, reporter: Option<&MetricsReporter>) -> 
         backend_label: opts.backend.label(),
         check_opts: opts.backend.check_opts(),
     }
+}
+
+/// One recorded run on `tm`, reconfiguring to `alt` and back.
+fn recorded_on<P: Protocol>(
+    (tm, alt): (Runtime<P>, P::Config),
+    opts: &RecordOpts,
+    reporter: Option<&MetricsReporter>,
+    sink: Option<&Arc<TraceSink>>,
+) -> Measurement {
+    register(&tm, reporter);
+    if let Some(sink) = sink {
+        tm.attach_trace(sink);
+    }
+    let m = run_with_reconfigures(
+        opts.reconfigures,
+        run_span(opts),
+        alternate(&tm, alt),
+        || run_workload(tm.clone(), opts),
+    );
+    tm.detach_trace();
+    m
 }
 
 /// Report for one **sampled** window of a [`run_sampled_windows`] run
@@ -401,10 +372,8 @@ impl SampledOutcome {
 /// [`stm_telemetry::Sampler::check_opts`] (version inflation allowed):
 /// a sink attached mid-run observes versions whose writers committed
 /// before the window opened, on every backend.
-fn sampled_loop<H: TmHandle>(
-    tm: H,
-    attach: &dyn Fn(&Arc<TraceSink>),
-    detach: &dyn Fn(),
+fn sampled_loop<P: Protocol>(
+    tm: &Runtime<P>,
     opts: &RecordOpts,
     windows: usize,
     sampler: &stm_telemetry::Sampler,
@@ -417,12 +386,12 @@ fn sampled_loop<H: TmHandle>(
     for window in 0..windows {
         let sink = sampler.begin_window(0);
         if let Some(sink) = &sink {
-            attach(sink);
+            tm.attach_trace(sink);
         }
         let m = run_workload(tm.clone(), opts);
         commits += m.commits;
         let Some(sink) = sink else { continue };
-        detach();
+        tm.detach_trace();
         let skipped_attempts = sink.skipped_attempts();
         let (outcome, committed, epochs, detail) = match sink.drain_history() {
             Err(e) => (WindowOutcome::Unsound, 0, Vec::new(), Some(e.to_string())),
@@ -503,74 +472,10 @@ fn run_sampled_windows_inner(
     if let Some(rep) = reporter {
         rep.register(sampler.clone());
     }
-    let total = run_span(opts) * windows as u32;
     let (reports, commits, epochs_seen) = match opts.backend {
-        RecBackend::TinyWb | RecBackend::TinyWt => {
-            let strategy = if opts.backend == RecBackend::TinyWb {
-                AccessStrategy::WriteBack
-            } else {
-                AccessStrategy::WriteThrough
-            };
-            let base = StmConfig::default()
-                .with_strategy(strategy)
-                .with_cm(opts.cm);
-            let stm = Stm::new(base).expect("record config valid");
-            if let Some(rep) = reporter {
-                stm.telemetry().set_enabled(true);
-                rep.register(Arc::new(stm.clone()));
-            }
-            run_with_reconfigures(
-                opts.reconfigures,
-                total,
-                |i| {
-                    let cfg = if i % 2 == 0 {
-                        base.with_locks_log2(12).with_shifts(1)
-                    } else {
-                        base
-                    };
-                    stm.reconfigure(cfg).expect("alternate config valid");
-                },
-                || {
-                    sampled_loop(
-                        stm.clone(),
-                        &|sink| stm.attach_trace(sink),
-                        &|| stm.detach_trace(),
-                        opts,
-                        windows,
-                        &sampler,
-                    )
-                },
-            )
-        }
-        RecBackend::Tl2 => {
-            let base = Tl2Config::default().with_cm(opts.cm);
-            let tl2 = Tl2::new(base).expect("record config valid");
-            if let Some(rep) = reporter {
-                tl2.telemetry().set_enabled(true);
-                rep.register(Arc::new(tl2.clone()));
-            }
-            run_with_reconfigures(
-                opts.reconfigures,
-                total,
-                |i| {
-                    let cfg = if i % 2 == 0 {
-                        base.with_locks_log2(12).with_shifts(1)
-                    } else {
-                        base
-                    };
-                    tl2.reconfigure(cfg).expect("alternate config valid");
-                },
-                || {
-                    sampled_loop(
-                        tl2.clone(),
-                        &|sink| tl2.attach_trace(sink),
-                        &|| tl2.detach_trace(),
-                        opts,
-                        windows,
-                        &sampler,
-                    )
-                },
-            )
+        Backend::Tl2 => sampled_on(tl2(opts), opts, windows, &sampler, reporter),
+        Backend::TinyWb | Backend::TinyWt => {
+            sampled_on(tiny(opts), opts, windows, &sampler, reporter)
         }
     };
     SampledOutcome {
@@ -583,12 +488,30 @@ fn run_sampled_windows_inner(
     }
 }
 
+/// [`sampled_loop`] on `tm` over the whole run, reconfiguring to `alt`
+/// and back.
+fn sampled_on<P: Protocol>(
+    (tm, alt): (Runtime<P>, P::Config),
+    opts: &RecordOpts,
+    windows: usize,
+    sampler: &stm_telemetry::Sampler,
+    reporter: Option<&MetricsReporter>,
+) -> (Vec<WindowReport>, u64, Vec<u64>) {
+    register(&tm, reporter);
+    run_with_reconfigures(
+        opts.reconfigures,
+        run_span(opts) * windows as u32,
+        alternate(&tm, alt),
+        || sampled_loop(&tm, opts, windows, sampler),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use stm_check::check_history;
 
-    fn quick(backend: RecBackend, workload: RecWorkload) -> RecordOpts {
+    fn quick(backend: Backend, workload: RecWorkload) -> RecordOpts {
         RecordOpts {
             backend,
             workload,
@@ -601,7 +524,7 @@ mod tests {
 
     #[test]
     fn recorded_intset_history_is_clean() {
-        let out = run_recorded(&quick(RecBackend::TinyWb, RecWorkload::IntsetRbtree));
+        let out = run_recorded(&quick(Backend::TinyWb, RecWorkload::IntsetRbtree));
         assert!(out.measurement.commits > 0);
         let history = out.history.expect("recording was on").expect("sound");
         let (committed, _, _, _, _) = history.totals();
@@ -612,7 +535,7 @@ mod tests {
 
     #[test]
     fn recording_off_yields_no_history() {
-        let mut opts = quick(RecBackend::Tl2, RecWorkload::IntsetList);
+        let mut opts = quick(Backend::Tl2, RecWorkload::IntsetList);
         opts.record = false;
         let out = run_recorded(&opts);
         assert!(out.history.is_none());
@@ -621,7 +544,7 @@ mod tests {
 
     #[test]
     fn vacation_on_tl2_records_and_checks() {
-        let out = run_recorded(&quick(RecBackend::Tl2, RecWorkload::Vacation));
+        let out = run_recorded(&quick(Backend::Tl2, RecWorkload::Vacation));
         let history = out.history.expect("recording was on").expect("sound");
         let report = check_history(&history, &out.check_opts);
         assert!(report.is_clean(), "{report}");
@@ -632,7 +555,7 @@ mod tests {
         // The tentpole's acceptance shape: a recorded window crossing
         // reconfigure boundaries must still check clean on every
         // backend, with the history really spanning > 1 epoch.
-        for backend in RecBackend::ALL {
+        for backend in Backend::ALL {
             let mut opts = quick(backend, RecWorkload::IntsetList);
             opts.duration_ms = 40;
             opts.reconfigures = 3;
@@ -657,7 +580,7 @@ mod tests {
         // 6 windows at cadence 2 ⇒ windows 0, 2, 4 sampled; every
         // sampled window must drain and check clean, even with
         // reconfigurations landing mid-run.
-        for backend in RecBackend::ALL {
+        for backend in Backend::ALL {
             let mut opts = quick(backend, RecWorkload::IntsetList);
             opts.duration_ms = 10;
             opts.reconfigures = 2;
@@ -689,7 +612,7 @@ mod tests {
         // A tiny cap: the recorded windows overflow, attempts are
         // skipped whole (history still checks clean), and the overflow
         // is tallied — never silent.
-        let mut opts = quick(RecBackend::TinyWb, RecWorkload::IntsetList);
+        let mut opts = quick(Backend::TinyWb, RecWorkload::IntsetList);
         opts.duration_ms = 15;
         let out = run_sampled_windows(&opts, 2, 1, 64);
         assert_eq!(out.counts.sampled, 2);
@@ -705,9 +628,6 @@ mod tests {
 
     #[test]
     fn parse_labels_roundtrip() {
-        for b in RecBackend::ALL {
-            assert_eq!(RecBackend::parse(b.label()), Some(b));
-        }
         for w in [
             RecWorkload::IntsetRbtree,
             RecWorkload::IntsetList,
@@ -716,7 +636,6 @@ mod tests {
         ] {
             assert_eq!(RecWorkload::parse(w.label()), Some(w));
         }
-        assert!(RecBackend::parse("mutex").is_none());
         assert!(RecWorkload::parse("skiplist").is_none());
     }
 }

@@ -26,18 +26,19 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use stm_engine::{DurableEngine, ServiceConfig, ShardBackend, StmService};
-use stm_tl2::{Tl2, Tl2Config};
+use stm_engine::{DurableEngine, ServiceConfig, StmService};
+use stm_tl2::{Tl2Config, Tl2Protocol};
 use stm_wal::{CrashSwitch, GroupCommitConfig, MemStore, WalStore};
-use tinystm::{AccessStrategy, Stm, StmConfig};
+use tinystm::stm::Lsa;
+use tinystm::{AccessStrategy, Protocol, Runtime, StmConfig};
 
-use crate::durable::DurBackend;
+use crate::backend::Backend;
 
 /// Options for one service run.
 #[derive(Debug, Clone)]
 pub struct ServiceOpts {
     /// Backend to run.
-    pub backend: DurBackend,
+    pub backend: Backend,
     /// Shard count.
     pub shards: usize,
     /// Client threads; each client is its own tenant.
@@ -59,7 +60,7 @@ pub struct ServiceOpts {
 impl Default for ServiceOpts {
     fn default() -> Self {
         ServiceOpts {
-            backend: DurBackend::WriteBack,
+            backend: Backend::TinyWb,
             shards: 2,
             clients: 4,
             keys_per_tenant: 32,
@@ -128,30 +129,33 @@ pub fn run_service(opts: &ServiceOpts) -> Result<ServiceReport, String> {
         return Err("--service needs shards, clients and keys >= 1".to_string());
     }
     match opts.backend {
-        DurBackend::WriteBack => run_one::<Stm>(
+        Backend::TinyWb => run_one::<Lsa>(
             opts,
             &StmConfig::default().with_strategy(AccessStrategy::WriteBack),
         ),
-        DurBackend::WriteThrough => run_one::<Stm>(
+        Backend::TinyWt => run_one::<Lsa>(
             opts,
             &StmConfig::default().with_strategy(AccessStrategy::WriteThrough),
         ),
-        DurBackend::Tl2 => run_one::<Tl2>(opts, &Tl2Config::default()),
+        Backend::Tl2 => run_one::<Tl2Protocol>(opts, &Tl2Config::default()),
     }
 }
 
-fn run_one<B: ShardBackend + 'static>(
-    opts: &ServiceOpts,
-    config: &B::Config,
-) -> Result<ServiceReport, String> {
+fn run_one<P: Protocol>(opts: &ServiceOpts, config: &P::Config) -> Result<ServiceReport, String> {
     let switch = CrashSwitch::unlimited();
     let dyns: Vec<Arc<dyn WalStore>> = (0..opts.shards)
         .map(|_| MemStore::new(Arc::clone(&switch)) as Arc<dyn WalStore>)
         .collect();
     let n_keys = opts.clients * opts.keys_per_tenant;
     let engine = Arc::new(
-        DurableEngine::<B>::new_grouped(opts.shards, n_keys, config, dyns.clone(), opts.group)
-            .map_err(|e| format!("durable engine: {e}"))?,
+        DurableEngine::<Runtime<P>>::new_grouped(
+            opts.shards,
+            n_keys,
+            config,
+            dyns.clone(),
+            opts.group,
+        )
+        .map_err(|e| format!("durable engine: {e}"))?,
     );
     let svc = Arc::new(StmService::start(
         Arc::clone(&engine),
@@ -227,7 +231,7 @@ fn run_one<B: ShardBackend + 'static>(
         .map(|s| MemStore::rebooted(&**s) as Arc<dyn WalStore>)
         .collect();
     let (recovered, _reports) =
-        DurableEngine::<B>::recover_grouped(opts.shards, n_keys, config, boot, opts.group)
+        DurableEngine::<Runtime<P>>::recover_grouped(opts.shards, n_keys, config, boot, opts.group)
             .map_err(|e| format!("recovery failed: {e}"))?;
 
     // No acked submission lost, no value from the future.
@@ -279,11 +283,7 @@ mod tests {
 
     #[test]
     fn clean_service_run_checks_out_on_every_backend() {
-        for backend in [
-            DurBackend::WriteBack,
-            DurBackend::WriteThrough,
-            DurBackend::Tl2,
-        ] {
+        for backend in Backend::ALL {
             let report = run_service(&ServiceOpts {
                 backend,
                 ops: 200,

@@ -2,9 +2,14 @@
 //! backend (TinySTM write-back / write-through, TL2), the combinations
 //! the paper benchmarks.
 
+#[path = "../../core/tests/support/deadline.rs"]
+mod deadline;
+
+use deadline::{deadline, join_by};
 use std::sync::Arc;
 use stm_api::TmHandle;
 use stm_structures::{HashSet, LinkedList, RbTree, ResourceKind, SkipList, TxSet, Vacation};
+use stm_telemetry::flight;
 use stm_tl2::{Tl2, Tl2Config};
 use tinystm::{AccessStrategy, CmPolicy, Stm, StmConfig};
 
@@ -34,72 +39,32 @@ fn tl2() -> Tl2 {
     .unwrap()
 }
 
-/// Run `f` with a set built on each backend/structure combination.
-type BackendFactory = Box<dyn Fn() -> BackendKind>;
-
-enum BackendKind {
-    Stm(Stm),
-    Tl2(Tl2),
+/// Every structure on `tm`, labelled `structure/name`.
+fn sets_on<H: TmHandle>(tm: H, name: &str) -> Vec<(Box<dyn TxSet>, String)> {
+    vec![
+        (
+            Box::new(LinkedList::new(tm.clone())),
+            format!("list/{name}"),
+        ),
+        (Box::new(RbTree::new(tm.clone())), format!("rbtree/{name}")),
+        (
+            Box::new(SkipList::new(tm.clone(), 42)),
+            format!("skiplist/{name}"),
+        ),
+        (Box::new(HashSet::new(tm, 64)), format!("hashset/{name}")),
+    ]
 }
 
+/// Run `f` with a set built on each backend/structure combination.
 fn for_each_set(f: impl Fn(Box<dyn TxSet>, &str)) {
-    let backends: Vec<(&str, BackendFactory)> = vec![
-        (
-            "tinystm-wb",
-            Box::new(|| BackendKind::Stm(tinystm(AccessStrategy::WriteBack, 0))),
-        ),
-        (
-            "tinystm-wb-hier",
-            Box::new(|| BackendKind::Stm(tinystm(AccessStrategy::WriteBack, 4))),
-        ),
-        (
-            "tinystm-wt",
-            Box::new(|| BackendKind::Stm(tinystm(AccessStrategy::WriteThrough, 0))),
-        ),
-        ("tl2", Box::new(|| BackendKind::Tl2(tl2()))),
+    let sets = [
+        sets_on(tinystm(AccessStrategy::WriteBack, 0), "tinystm-wb"),
+        sets_on(tinystm(AccessStrategy::WriteBack, 4), "tinystm-wb-hier"),
+        sets_on(tinystm(AccessStrategy::WriteThrough, 0), "tinystm-wt"),
+        sets_on(tl2(), "tl2"),
     ];
-    for (bname, make) in backends {
-        let sets: Vec<(Box<dyn TxSet>, String)> = match make() {
-            BackendKind::Stm(h) => vec![
-                (
-                    Box::new(LinkedList::new(h.clone())) as Box<dyn TxSet>,
-                    format!("list/{bname}"),
-                ),
-                (
-                    Box::new(RbTree::new(h.clone())) as Box<dyn TxSet>,
-                    format!("rbtree/{bname}"),
-                ),
-                (
-                    Box::new(SkipList::new(h.clone(), 42)) as Box<dyn TxSet>,
-                    format!("skiplist/{bname}"),
-                ),
-                (
-                    Box::new(HashSet::new(h, 64)) as Box<dyn TxSet>,
-                    format!("hashset/{bname}"),
-                ),
-            ],
-            BackendKind::Tl2(h) => vec![
-                (
-                    Box::new(LinkedList::new(h.clone())) as Box<dyn TxSet>,
-                    format!("list/{bname}"),
-                ),
-                (
-                    Box::new(RbTree::new(h.clone())) as Box<dyn TxSet>,
-                    format!("rbtree/{bname}"),
-                ),
-                (
-                    Box::new(SkipList::new(h.clone(), 42)) as Box<dyn TxSet>,
-                    format!("skiplist/{bname}"),
-                ),
-                (
-                    Box::new(HashSet::new(h, 64)) as Box<dyn TxSet>,
-                    format!("hashset/{bname}"),
-                ),
-            ],
-        };
-        for (set, label) in sets {
-            f(set, &label);
-        }
+    for (set, label) in sets.into_iter().flatten() {
+        f(set, &label);
     }
 }
 
@@ -155,9 +120,7 @@ fn concurrent_churn_preserves_size_invariant() {
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        join_by(handles, deadline(), label);
         assert_eq!(set.snapshot_len(), base_len, "{label}: size drifted");
     });
 }
@@ -186,9 +149,7 @@ fn rbtree_invariants_survive_concurrency() {
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        join_by(handles, deadline(), &format!("rbtree/{strategy:?}"));
         tree.check_invariants();
     }
 }
@@ -215,9 +176,7 @@ fn rbtree_invariants_survive_concurrency_tl2() {
             })
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+    join_by(handles, deadline(), "rbtree/tl2");
     tree.check_invariants();
 }
 
@@ -239,9 +198,7 @@ fn list_overwrite_workload_concurrent() {
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        join_by(handles, deadline(), &format!("overwrite/{strategy:?}"));
         // Structure intact, all keys still present.
         assert_eq!(list.keys(), (1..=64).collect::<Vec<_>>());
         // Prefix values must come from complete overwrites: every node
@@ -289,9 +246,7 @@ fn vacation_conservation_concurrent_all_backends() {
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        join_by(handles, deadline(), label);
         assert_eq!(
             v.outstanding_by_tables(),
             v.outstanding_by_customers(),
@@ -343,8 +298,6 @@ fn list_under_reconfiguration() {
         std::thread::sleep(std::time::Duration::from_millis(15));
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    for w in workers {
-        w.join().unwrap();
-    }
+    join_by(workers, deadline(), "list_under_reconfiguration");
     assert_eq!(list.keys(), (1..=128).collect::<Vec<_>>());
 }

@@ -37,18 +37,24 @@ fn name<P: Protocol>(tm: &Runtime<P>) -> &'static str {
 fn aborted_attempt_reclaims_its_allocation() {
     fn check<P: Protocol>(tm: Runtime<P>) {
         let mut first = true;
-        tm.run(TxKind::ReadWrite, |tx| {
-            tx.malloc(16)?;
+        let block = tm.run(TxKind::ReadWrite, |tx| {
+            let p = tx.malloc(16)?;
             if std::mem::take(&mut first) {
                 tx.retry()?;
             }
-            Ok(())
+            Ok(p)
         });
         // The aborted attempt's block is freed by its rollback, without
         // limbo; the committed one is the caller's until it frees it.
         let s = tm.stats();
         assert_eq!(s.limbo_pending, 0, "{}", name(&tm));
         assert_eq!(s.totals.allocs, 2, "{}", name(&tm));
+        // SAFETY: `block` is the committed 16-word block, freed once.
+        tm.run(TxKind::ReadWrite, |tx| unsafe { tx.free(block, 16) });
+        tm.reclaim_now();
+        let s = tm.stats();
+        assert_eq!(s.totals.frees, 1, "{}", name(&tm));
+        assert_eq!(s.limbo_pending, 0, "{}", name(&tm));
     }
     on_every_backend!(check);
 }

@@ -2,16 +2,14 @@
 //!
 //! Following Section 4.3: throughput is measured over a period per
 //! configuration, **three times**, and the maximum of the three samples
-//! feeds the adaptation strategy; configuration switches go through the
-//! backend-neutral lifecycle trait ([`stm_api::TmLifecycle`], whose
-//! `reconfigure` reuses the clock roll-over quiesce), so rejections
-//! surface as [`stm_api::LifecycleError`] rather than a backend's
-//! config-error type.
+//! feeds the adaptation strategy; configuration switches call the
+//! runtime's own [`tinystm::Runtime::reconfigure`] (the clock roll-over
+//! quiesce, on the `Runtime<P>` the engine's shards also are), so a
+//! rejected switch surfaces as its [`tinystm::ConfigError`].
 
 use crate::point::TuningPoint;
 use crate::tuner::Tuner;
 use std::time::{Duration, Instant};
-use stm_api::TmLifecycle;
 use tinystm::{Stm, StmConfig};
 
 /// Runner options.
@@ -124,7 +122,7 @@ pub fn autotune(
     opts: AutoTuneOpts,
 ) -> AutoTuneOutcome {
     let mut records = Vec::with_capacity(opts.max_configs);
-    if let Err(e) = TmLifecycle::reconfigure(stm, &start.apply(template)) {
+    if let Err(e) = stm.reconfigure(start.apply(template)) {
         return AutoTuneOutcome {
             records,
             error: Some(format!(
@@ -150,7 +148,7 @@ pub fn autotune(
             val_skipped_per_s: skipped_rate,
         });
         if decision.next != point {
-            if let Err(e) = TmLifecycle::reconfigure(stm, &decision.next.apply(template)) {
+            if let Err(e) = stm.reconfigure(decision.next.apply(template)) {
                 error = Some(format!(
                     "reconfigure to {} rejected after {index} configuration(s): {e}",
                     decision.next.label()

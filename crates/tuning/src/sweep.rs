@@ -1,14 +1,14 @@
 //! Exhaustive static-configuration sweep: the "best static
 //! configuration" baseline the paper's tuning figures (10/11) compare
 //! the hill climber against. Every grid point is applied through
-//! [`stm_api::TmLifecycle::reconfigure`] (the same quiesce mechanism
-//! the tuner uses) and measured with the same max-of-samples rule, so
-//! sweep and autotune results are directly comparable.
+//! [`tinystm::Runtime::reconfigure`] (the same quiesce mechanism the
+//! tuner uses; a rejected point reports its [`tinystm::ConfigError`])
+//! and measured with the same max-of-samples rule, so sweep and
+//! autotune results are directly comparable.
 
 use crate::point::TuningPoint;
 use crate::runner::measure_current;
 use std::time::Duration;
-use stm_api::TmLifecycle;
 use tinystm::{Stm, StmConfig};
 
 /// The static grid to sweep: the cartesian product of the three
@@ -117,7 +117,7 @@ impl SweepOutcome {
 pub fn sweep(stm: &Stm, template: StmConfig, grid: &SweepGrid, opts: SweepOpts) -> SweepOutcome {
     let mut records = Vec::new();
     for point in grid.points() {
-        if let Err(e) = TmLifecycle::reconfigure(stm, &point.apply(template)) {
+        if let Err(e) = stm.reconfigure(point.apply(template)) {
             return SweepOutcome {
                 records,
                 error: Some(format!("reconfigure to {} rejected: {e}", point.label())),

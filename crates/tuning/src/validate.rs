@@ -31,7 +31,6 @@ use crate::point::TuningPoint;
 use crate::runner::{autotune, measure_current, AutoTuneOpts, AutoTuneOutcome, TuneRecord};
 use crate::sweep::{sweep, SweepGrid, SweepOpts, SweepOutcome, SweepRecord};
 use std::time::Duration;
-use stm_api::TmLifecycle;
 use stm_check::{check_history, CheckOpts, CheckReport, TraceSink};
 use stm_harness::{drive_with_coordinator, IntSetOp, IntSetWorkload, MeasureOpts};
 use stm_structures::{LinkedList, RbTree, TxSet};
@@ -225,7 +224,7 @@ pub fn validate_autotune(opts: &ValidateOpts) -> Result<ValidateReport, String> 
                     let mut err = None;
                     'rounds: for _ in 0..2 {
                         for (point, slot) in pairs {
-                            if let Err(e) = TmLifecycle::reconfigure(&stm, &point.apply(template)) {
+                            if let Err(e) = stm.reconfigure(point.apply(template)) {
                                 err = Some(format!(
                                     "playoff reconfigure to {} rejected: {e}",
                                     point.label()

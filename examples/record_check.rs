@@ -11,14 +11,15 @@
 //! `cargo run -p stm-harness --features record --bin stm-record -- --check`.
 
 use stm_check::check_history;
-use stm_harness::record::{run_recorded, RecBackend, RecWorkload, RecordOpts};
+use stm_harness::record::{run_recorded, RecWorkload, RecordOpts};
+use stm_harness::Backend;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let backend = args
         .first()
-        .map(|s| RecBackend::parse(s).expect("backend: wb | wt | tl2"))
-        .unwrap_or(RecBackend::TinyWb);
+        .map(|s| Backend::parse(s).expect("backend: wb | wt | tl2"))
+        .unwrap_or(Backend::TinyWb);
     let threads = args
         .get(1)
         .map(|s| s.parse().expect("threads"))

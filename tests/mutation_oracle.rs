@@ -13,7 +13,7 @@
 use std::sync::{Arc, Barrier};
 use stm_api::{TmTx, TxKind};
 use stm_check::{check_history, CheckOpts, History, TraceSink, Violation};
-use stm_harness::record::RecBackend;
+use stm_harness::Backend;
 use stm_tl2::{Tl2, Tl2Config};
 use tinystm::fault::FaultInjection;
 use tinystm::{AccessStrategy, Stm, StmConfig};
@@ -92,7 +92,7 @@ fn assert_cycle_witness(history: &History, opts: &CheckOpts, label: &str) {
     );
 }
 
-fn run_tiny_mutation(strategy: AccessStrategy, backend: RecBackend) {
+fn run_tiny_mutation(strategy: AccessStrategy, backend: Backend) {
     let stm = Stm::new(StmConfig::default().with_strategy(strategy)).expect("valid");
     let sink = TraceSink::new();
     stm.attach_trace(&sink);
@@ -108,12 +108,12 @@ fn run_tiny_mutation(strategy: AccessStrategy, backend: RecBackend) {
 
 #[test]
 fn skipped_commit_validation_is_caught_on_write_back() {
-    run_tiny_mutation(AccessStrategy::WriteBack, RecBackend::TinyWb);
+    run_tiny_mutation(AccessStrategy::WriteBack, Backend::TinyWb);
 }
 
 #[test]
 fn skipped_commit_validation_is_caught_on_write_through() {
-    run_tiny_mutation(AccessStrategy::WriteThrough, RecBackend::TinyWt);
+    run_tiny_mutation(AccessStrategy::WriteThrough, Backend::TinyWt);
 }
 
 #[test]
@@ -128,7 +128,7 @@ fn skipped_commit_validation_is_caught_on_tl2() {
     tl2.detach_trace();
     // Safe drain: the choreography's worker scope has joined.
     let history = sink.drain_history().expect("recording sound");
-    assert_cycle_witness(&history, &RecBackend::Tl2.check_opts(), "tl2");
+    assert_cycle_witness(&history, &Backend::Tl2.check_opts(), "tl2");
 }
 
 /// Opacity mutation: with extension validation skipped, an attempt that

@@ -10,7 +10,8 @@
 #![cfg(feature = "record")]
 
 use stm_check::check_history;
-use stm_harness::record::{run_recorded, RecBackend, RecWorkload, RecordOpts};
+use stm_harness::record::{run_recorded, RecWorkload, RecordOpts};
+use stm_harness::Backend;
 use tinystm::CmPolicy;
 
 fn record_and_check(opts: &RecordOpts) {
@@ -39,7 +40,7 @@ fn record_and_check(opts: &RecordOpts) {
 
 #[test]
 fn record_and_check_quick_all_backends() {
-    for backend in RecBackend::ALL {
+    for backend in Backend::ALL {
         for workload in [RecWorkload::IntsetRbtree, RecWorkload::IntsetList] {
             record_and_check(&RecordOpts {
                 backend,
@@ -63,7 +64,7 @@ fn record_and_check_stress_across_reconfigures() {
     // The tentpole under release contention: reconfigurations land
     // mid-window on every backend and the per-epoch checker must still
     // find the histories opaque.
-    for backend in RecBackend::ALL {
+    for backend in Backend::ALL {
         record_and_check(&RecordOpts {
             backend,
             workload: RecWorkload::IntsetList,
@@ -85,7 +86,7 @@ fn record_and_check_stress_across_reconfigures() {
 fn record_and_check_stress_all_backends() {
     // Small structures + high update rates maximize real conflicts;
     // CM_DELAY rides along so the new policy sees release-mode load.
-    for backend in RecBackend::ALL {
+    for backend in Backend::ALL {
         for (workload, size, update_pct) in [
             (RecWorkload::IntsetRbtree, 64, 80),
             (RecWorkload::IntsetList, 32, 80),
